@@ -18,7 +18,7 @@ use vm_core::{simulate, SimConfig, SimReport};
 use vm_harden::{quiet_panics, FailureKind, SimError};
 use vm_trace::{InstrRecord, WorkloadSpec};
 
-use vm_obs::Reporter;
+use vm_obs::{Heartbeat, Reporter};
 
 /// Locks tolerating poisoning: a panicking sibling worker must not
 /// cascade into every later lock site.
@@ -215,7 +215,7 @@ pub fn run_jobs_checked(
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let consumed = AtomicU64::new(0);
-    let finished = AtomicBool::new(false);
+    let heartbeat = Heartbeat::new();
     let failed = AtomicBool::new(false);
     let started = Instant::now();
     let results: Vec<Mutex<Option<Result<Outcome, SimError>>>> =
@@ -253,18 +253,7 @@ pub fn run_jobs_checked(
         // Heartbeat: silent for short sweeps (first beat after ~2s),
         // periodic progress for long ones.
         scope.spawn(|| {
-            let mut waited = Duration::ZERO;
-            let step = Duration::from_millis(100);
-            loop {
-                std::thread::sleep(step);
-                if finished.load(Ordering::Relaxed) {
-                    break;
-                }
-                waited += step;
-                if waited < Duration::from_secs(2) {
-                    continue;
-                }
-                waited = Duration::ZERO;
+            heartbeat.run(Duration::from_secs(2), || {
                 let instrs = consumed.load(Ordering::Relaxed);
                 let elapsed = started.elapsed().as_secs_f64();
                 let pct = if planned == 0 { 100.0 } else { 100.0 * instrs as f64 / planned as f64 };
@@ -276,17 +265,17 @@ pub fn run_jobs_checked(
                     pct.min(100.0),
                     fmt_instrs((instrs as f64 / elapsed.max(1e-9)) as u64),
                 ));
-            }
+            })
         });
         for w in workers {
             // Workers catch job panics internally; a join error would be
             // an infrastructure bug, which the facade's panic surfaces.
             if let Err(payload) = w.join() {
-                finished.store(true, Ordering::Relaxed);
+                heartbeat.finish();
                 std::panic::resume_unwind(payload);
             }
         }
-        finished.store(true, Ordering::Relaxed);
+        heartbeat.finish();
     });
     let mut outcomes = Vec::with_capacity(jobs.len());
     for slot in results {
@@ -361,6 +350,22 @@ mod tests {
             .expect("clean jobs must succeed");
         assert_eq!(ok.len(), 1);
         assert_eq!(ok[0].job.label, "ok");
+    }
+
+    #[test]
+    fn short_runs_cost_their_work_not_a_heartbeat_step() {
+        // The runner returns when its workers do. A heartbeat thread
+        // that sleeps in fixed 100 ms steps would make twenty one-job
+        // runs of ~1k instructions take at least 2 s.
+        let reporter = Reporter::silent();
+        let started = Instant::now();
+        for _ in 0..20 {
+            let mut job = tiny_job("tiny", SystemKind::Ultrix);
+            job.scale = RunScale { warmup: 200, measure: 800 };
+            assert_eq!(run_jobs_checked(vec![job], 1, &reporter, "test").unwrap().len(), 1);
+        }
+        let wall = started.elapsed();
+        assert!(wall < Duration::from_secs(1), "20 one-job runs took {wall:?}");
     }
 
     #[test]

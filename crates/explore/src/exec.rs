@@ -42,7 +42,7 @@ use vm_harden::{
     quiet_panics, with_retry_salted, ChaosPlan, CheckedTrace, DeadlineSink, DynJournalWriter,
     FailureKind, Fault, JournalEntry, PointOutcome, RetryPolicy, SimError,
 };
-use vm_obs::{Event, Reporter, Sink, SnapshotSink, Tee};
+use vm_obs::{Event, Heartbeat, Reporter, Sink, SnapshotSink, Tee};
 use vm_supervise::WorkerPool;
 use vm_types::SplitMix64;
 
@@ -409,7 +409,7 @@ fn run_pending(
         .collect();
     let done = AtomicUsize::new(0);
     let consumed = AtomicU64::new(0);
-    let finished = AtomicBool::new(false);
+    let heartbeat = Heartbeat::new();
     let started = Instant::now();
 
     std::thread::scope(|scope| {
@@ -488,18 +488,7 @@ fn run_pending(
         // Heartbeat: silent for short sweeps, periodic progress for long
         // ones, same cadence as the experiment runner.
         scope.spawn(|| {
-            let step = Duration::from_millis(100);
-            let mut waited = Duration::ZERO;
-            loop {
-                std::thread::sleep(step);
-                if finished.load(Ordering::Relaxed) {
-                    break;
-                }
-                waited += step;
-                if waited < Duration::from_secs(2) {
-                    continue;
-                }
-                waited = Duration::ZERO;
+            heartbeat.run(Duration::from_secs(2), || {
                 let instrs = consumed.load(Ordering::Relaxed);
                 let elapsed = started.elapsed().as_secs_f64();
                 reporter.heartbeat(format!(
@@ -509,10 +498,10 @@ fn run_pending(
                     100.0 * instrs as f64 / planned_instrs.max(1) as f64,
                     instrs as f64 / elapsed.max(1e-9) / 1e6,
                 ));
-            }
+            })
         });
         let worker_panic = workers.into_iter().find_map(|h| h.join().err());
-        finished.store(true, Ordering::Relaxed);
+        heartbeat.finish();
         if let Some(payload) = worker_panic {
             // Only infrastructure bugs reach here — point panics are
             // caught and classified inside measure_point_isolated.
@@ -889,6 +878,31 @@ mod tests {
         let without = SystemSpec::for_kind(SystemKind::NoTlb).validate().unwrap();
         assert_eq!(tlb_area_bytes(&with), 2 * 128 * 16);
         assert_eq!(tlb_area_bytes(&without), 0);
+    }
+
+    #[test]
+    fn short_sweeps_cost_their_work_not_a_heartbeat_step() {
+        // A sweep returns when its workers do. A heartbeat thread that
+        // sleeps in fixed 100 ms steps would make twenty one-point
+        // sweeps of ~1k instructions take at least 2 s.
+        let plan = SweepPlan::expand(&SystemSpec::for_kind(SystemKind::Ultrix), &[]).unwrap();
+        assert_eq!(plan.points.len(), 1);
+        let exec = ExecConfig { warmup: 200, measure: 800, jobs: 1 };
+        let started = Instant::now();
+        for _ in 0..20 {
+            let out = run_sweep_hardened(
+                &plan,
+                &exec,
+                &HardenPolicy::default(),
+                BTreeMap::new(),
+                &Reporter::silent(),
+                &mut NopSink,
+                None,
+            );
+            assert_eq!(out.failed_count(), 0);
+        }
+        let wall = started.elapsed();
+        assert!(wall < Duration::from_secs(1), "20 one-point sweeps took {wall:?}");
     }
 
     #[test]

@@ -215,6 +215,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -302,12 +303,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| ParseError { what: "invalid UTF-8", at: self.pos })?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash in one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the (already valid) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -385,7 +389,7 @@ impl<'a> Parser<'a> {
 ///
 /// Returns [`ParseError`] on malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -425,6 +429,35 @@ mod tests {
         let v = Value::Str("a\"b\\c\nd\te\u{1}".to_owned());
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn mixed_utf8_and_every_escape_round_trip() {
+        let original = "ascii \u{e9}t\u{e9} \u{65e5}\u{672c} \u{1f980} q\"b\\s/n\nr\rt\tb\u{8}f\u{c}c\u{1}\u{1f}";
+        let v = Value::Str(original.to_owned());
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        // Escapes the writer never emits still decode.
+        let text = "\"\\/\\b\\f\\u00e9\\u65e5 \u{1f980}\\n\"";
+        assert_eq!(parse(text).unwrap().as_str(), Some("/\u{8}\u{c}\u{e9}\u{65e5} \u{1f980}\n"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2 MiB of mixed ASCII and multi-byte text with an escape every
+        // 64 bytes: a parser that rescans the rest of the input per
+        // character needs minutes here.
+        let mut body = String::new();
+        while body.len() < 2 << 20 {
+            body.push_str(
+                "abcdefghijklmnopqrstuvwxyz \u{e9}\u{65e5}\u{1f980} 0123456789ABCDEFGHIJKLMNOP\n",
+            );
+        }
+        let text = Value::Str(body.clone()).to_string();
+        let started = std::time::Instant::now();
+        let parsed = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(body.as_str()));
+        assert!(elapsed < std::time::Duration::from_secs(1), "2 MiB string took {elapsed:?}");
     }
 
     #[test]

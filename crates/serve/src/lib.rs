@@ -58,5 +58,5 @@ pub use proto::{
     SubmitRequest, PROTO_VERSION,
 };
 pub use report::EventReport;
-pub use server::{ServeConfig, ServeStats, ServeSummary, Server};
+pub use server::{DrainHandle, ServeConfig, ServeStats, ServeSummary, Server};
 pub use watch::{SubNext, WatchHub, WatchSub};
