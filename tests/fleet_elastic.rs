@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -73,14 +72,8 @@ fn csv_of(results: Vec<PointResult>, axes: &[Axis]) -> String {
 /// Boots one healthy in-process daemon and returns its address plus the
 /// serve-thread handle.
 fn healthy_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    static NEVER: AtomicBool = AtomicBool::new(false);
-    let config = ServeConfig {
-        workers: 1,
-        queue_cap: 8,
-        degrade_depth: 9,
-        shutdown: Some(&NEVER),
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { workers: 1, queue_cap: 8, degrade_depth: 9, ..ServeConfig::default() };
     let server = Server::start(config).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || {
@@ -326,13 +319,11 @@ fn an_evicted_backend_heals_through_probation_and_completes_points() {
         // The backend "heals": a daemon comes up on the reserved port
         // while the run is under way, for the probation probe to find.
         std::thread::sleep(Duration::from_millis(150));
-        static NEVER: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: reserved.to_string(),
             workers: 1,
             queue_cap: 8,
             degrade_depth: 9,
-            shutdown: Some(&NEVER),
             ..ServeConfig::default()
         };
         let server = Server::start(config).unwrap();

@@ -6,7 +6,6 @@
 //! chaos-poisoned backend must evict it and still converge bit-exactly.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -191,7 +190,6 @@ fn chaos_failures_and_hedge_duplicates_still_merge_byte_identical() {
 
 #[test]
 fn a_real_fleet_evicts_a_poisoned_backend_and_converges_bit_exactly() {
-    static NEVER: AtomicBool = AtomicBool::new(false);
     let specs = vec![ULTRIX.to_owned()];
     let axes = vec![
         Axis::parse("tlb.entries=16,32,64,128").unwrap(),
@@ -215,7 +213,6 @@ fn a_real_fleet_evicts_a_poisoned_backend_and_converges_bit_exactly() {
             } else {
                 ChaosPlan::default()
             },
-            shutdown: Some(&NEVER),
             ..ServeConfig::default()
         };
         let server = Server::start(config).unwrap();

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -56,7 +55,6 @@ fn single_node_reference(fplan: &FleetPlan, exec: &ExecConfig) -> (Vec<PointResu
 
 #[test]
 fn a_lying_backend_is_quarantined_and_the_merge_stays_bit_identical() {
-    static NEVER: AtomicBool = AtomicBool::new(false);
     let (specs, axes, exec) = grid();
     let fplan = fleet_plan(&specs, &axes).unwrap();
     assert_eq!(fplan.plan.points.len(), 24);
@@ -76,7 +74,6 @@ fn a_lying_backend_is_quarantined_and_the_merge_stays_bit_identical() {
             queue_cap: 8,
             degrade_depth: 9,
             chaos: if lying { ChaosPlan::parse("lie@0", 7).unwrap() } else { ChaosPlan::default() },
-            shutdown: Some(&NEVER),
             ..ServeConfig::default()
         };
         let server = Server::start(config).unwrap();
