@@ -425,26 +425,42 @@ impl SimConfig {
         }
     }
 
+    /// The validated cache and TLB geometry: L1, L2 (sized for a unified
+    /// L2 when there is one), and the TLB config for systems with TLBs.
+    fn geometry(&self) -> Result<(CacheConfig, CacheConfig, Option<TlbConfig>), BuildError> {
+        let l1 = CacheConfig::set_associative(self.l1_bytes, self.l1_line, self.associativity)?;
+        let l2_bytes = if self.unified_l2 { 2 * self.l2_bytes } else { self.l2_bytes };
+        let l2 = CacheConfig::set_associative(l2_bytes, self.l2_line, self.associativity)?;
+        let tlb = if self.system.uses_tlb() {
+            Some(TlbConfig::new(self.tlb_entries, self.protected_slots(), self.tlb_replacement)?)
+        } else {
+            None
+        };
+        Ok((l1, l2, tlb))
+    }
+
+    /// Checks the configuration without building anything: the error
+    /// [`SimConfig::build`] would return, without allocating caches,
+    /// TLBs or page tables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] if the cache or TLB geometry is invalid.
+    pub fn check(&self) -> Result<(), BuildError> {
+        self.geometry().map(|_| ())
+    }
+
     /// Builds the memory system.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError`] if the cache or TLB geometry is invalid.
     pub fn build(&self) -> Result<MemorySystem, BuildError> {
-        let l1 = CacheConfig::set_associative(self.l1_bytes, self.l1_line, self.associativity)?;
+        let (l1, l2, tlb) = self.geometry()?;
         let caches = if self.unified_l2 {
-            let l2 =
-                CacheConfig::set_associative(2 * self.l2_bytes, self.l2_line, self.associativity)?;
             CacheSystem::unified(Cache::new(l1), Cache::new(l1), Cache::new(l2))
         } else {
-            let l2 = CacheConfig::set_associative(self.l2_bytes, self.l2_line, self.associativity)?;
             CacheSystem::split(Cache::new(l1), Cache::new(l1), Cache::new(l2), Cache::new(l2))
-        };
-
-        let make_tlb = |salt: u64| -> Result<Tlb, TlbConfigError> {
-            let cfg =
-                TlbConfig::new(self.tlb_entries, self.protected_slots(), self.tlb_replacement)?;
-            Ok(Tlb::new(cfg, self.seed ^ salt))
         };
 
         let mmu = match self.system {
@@ -474,7 +490,12 @@ impl SimConfig {
                         unreachable!("handled above")
                     }
                 };
-                Mmu::Tlb { itlb: make_tlb(0x1)?, dtlb: make_tlb(0x2)?, walker }
+                let tlb = tlb.expect("geometry() configures a TLB for every system with TLBs");
+                Mmu::Tlb {
+                    itlb: Tlb::new(tlb, self.seed ^ 0x1),
+                    dtlb: Tlb::new(tlb, self.seed ^ 0x2),
+                    walker,
+                }
             }
         };
 
@@ -600,6 +621,30 @@ mod tests {
         cfg.tlb_entries = 0;
         let err = cfg.build().unwrap_err();
         assert!(err.to_string().contains("TLB"));
+    }
+
+    #[test]
+    fn check_reports_exactly_what_build_would() {
+        let mut configs = Vec::new();
+        for kind in [SystemKind::Ultrix, SystemKind::Intel, SystemKind::NoTlb, SystemKind::Base] {
+            for (l1, l2, entries, unified) in [
+                (8 << 10, 1 << 20, 128, false),
+                (3000, 1 << 20, 128, false),
+                (8 << 10, 3 << 19, 64, true),
+                (8 << 10, 1 << 20, 0, false),
+                (8 << 10, 16, 128, true),
+            ] {
+                let mut cfg = SimConfig::paper_default(kind);
+                (cfg.l1_bytes, cfg.l2_bytes, cfg.tlb_entries, cfg.unified_l2) =
+                    (l1, l2, entries, unified);
+                configs.push(cfg);
+            }
+        }
+        for cfg in configs {
+            let checked = cfg.check().map_err(|e| e.to_string());
+            let built = cfg.build().map(|_| ()).map_err(|e| e.to_string());
+            assert_eq!(checked, built, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -382,9 +382,10 @@ impl SystemSpec {
         }
         let config = self.lower(kind);
         // Delegate geometry checking (power-of-two caches, line/size
-        // relations, TLB slot counts) to the builders that own the rules.
+        // relations, TLB slot counts) to the config types that own the
+        // rules, without building a simulator per point.
         config
-            .build()
+            .check()
             .map_err(|e| ValidateError { spec: self.display_name(), msg: e.to_string() })?;
         Ok(config)
     }

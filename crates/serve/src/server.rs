@@ -665,16 +665,26 @@ struct JobObserver {
     degraded: bool,
     points: u64,
     done_points: Arc<AtomicU64>,
+    /// The furthest overall progress a frame has carried.
+    published: AtomicU64,
 }
 
 impl vm_explore::SweepObserver for JobObserver {
     fn checkpoint(&self, cp: &vm_explore::PointCheckpoint) {
+        let done = self.done_points.load(Ordering::Relaxed);
+        // Lane-mates checkpoint the same stream position in turn; a
+        // frame that would not advance the job's progress is dropped,
+        // so progress on the stream never stalls or regresses.
+        let overall = watch::overall_progress(cp, done, self.points);
+        if self.published.fetch_max(overall, Ordering::Relaxed) >= overall {
+            return;
+        }
         let queue_depth = self.shared.lock_state().queue.len() as u64;
         let frame = watch::progress_frame(
             self.shared.now_ms(),
             self.job,
             cp,
-            self.done_points.load(Ordering::Relaxed),
+            done,
             self.points,
             queue_depth,
             self.degraded,
@@ -756,6 +766,7 @@ fn execute_job(
                 degraded: spec.degraded,
                 points: plan.points.len() as u64,
                 done_points: Arc::clone(done_points),
+                published: AtomicU64::new(0),
             }),
         )),
     };
@@ -977,9 +988,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // Per-connection upload accounting: one client cannot stage more
     // than its quota no matter how many uploads it opens.
     let mut conn = ConnQuota::default();
+    // `carry[..scanned]` is known to hold no newline, so each byte is
+    // scanned once however many reads a long line takes to arrive.
+    let mut scanned = 0;
     loop {
-        while let Some(pos) = carry.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = carry.drain(..=pos).collect();
+        while let Some(pos) = carry[scanned..].iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = carry.drain(..=scanned + pos).collect();
+            scanned = 0;
             let text = String::from_utf8_lossy(&line);
             let text = text.trim();
             if text.is_empty() {
@@ -1018,6 +1033,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 }
             }
         }
+        scanned = carry.len();
         if carry.len() > max {
             let e = ProtoError::new(413, format!("request exceeds {max} bytes"));
             let _ = write_line(&mut stream, &proto::error_response(&e));
@@ -1509,6 +1525,26 @@ mod tests {
         assert!(!unknown.to_string().contains("expired"), "{unknown}");
 
         c.request(&Value::obj([("req", "drain".into())])).unwrap();
+        serve.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_request_line_near_the_size_cap_is_answered_and_framing_resumes() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.drain_handle();
+        let serve = std::thread::spawn(move || server.serve());
+        let mut c = Client::connect(addr).unwrap();
+        // ~1 MiB arrives over some 256 reads of 4 KiB.
+        let pad = "x".repeat(ServeConfig::default().max_request_bytes - 64);
+        let big = format!("{{\"req\":\"health\",\"pad\":\"{pad}\"}}");
+        let resp = c.request_line(&big).unwrap();
+        assert_eq!(code(&resp), 200, "{resp}");
+        // The next line on the same connection is framed from its start.
+        let resp = c.request(&Value::obj([("req", "stats".into())])).unwrap();
+        assert_eq!(code(&resp), 200, "{resp}");
+        assert!(resp.get("queued").is_some(), "{resp}");
+        handle.drain();
         serve.join().unwrap().unwrap();
     }
 

@@ -183,6 +183,13 @@ impl WatchHub {
     }
 }
 
+/// A job's overall progress in instructions at checkpoint `cp`:
+/// completed points are worth a full horizon each, the live point its
+/// checkpointed count.
+pub fn overall_progress(cp: &PointCheckpoint, done: u64, points: u64) -> u64 {
+    done.min(points) * cp.instrs_total + cp.instrs.min(cp.instrs_total)
+}
+
 /// A `progress` frame: a checkpoint from inside a simulating point,
 /// with job-level completion context folded in.
 pub fn progress_frame(
@@ -195,8 +202,7 @@ pub fn progress_frame(
     degraded: bool,
 ) -> Value {
     let total = (points.max(1) * cp.instrs_total.max(1)) as f64;
-    let overall = done.min(points) * cp.instrs_total + cp.instrs.min(cp.instrs_total);
-    let percent = (overall as f64 / total * 100.0).min(100.0);
+    let percent = (overall_progress(cp, done, points) as f64 / total * 100.0).min(100.0);
     Value::obj([
         ("frame", "progress".into()),
         ("t", t.into()),

@@ -224,6 +224,10 @@ pub struct Tlb {
     config: TlbConfig,
     slots: Vec<Slot>,
     index: HashMap<Vpn, usize>,
+    /// The slot of the last hit, probed before `index`. The slot itself
+    /// is the truth: an entry evicted, flushed or migrated since then
+    /// no longer matches, so the filter never needs invalidating.
+    last: usize,
     rng: SplitMix64,
     tick: u64,
     counters: TlbCounters,
@@ -237,6 +241,7 @@ impl Tlb {
             config,
             slots: vec![Slot { vpn: None, stamp: 0 }; config.entries()],
             index: HashMap::with_capacity(config.entries()),
+            last: 0,
             rng: SplitMix64::new(seed),
             tick: 0,
             counters: TlbCounters::default(),
@@ -277,16 +282,20 @@ impl Tlb {
     /// Returns `true` on a hit.
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
         self.counters.lookups += 1;
-        if let Some(&slot) = self.index.get(&vpn) {
-            self.counters.hits += 1;
-            if self.config.replacement() == Replacement::Lru {
-                self.tick += 1;
-                self.slots[slot].stamp = self.tick;
-            }
-            true
+        let slot = if self.slots[self.last].vpn == Some(vpn) {
+            self.last
+        } else if let Some(&slot) = self.index.get(&vpn) {
+            self.last = slot;
+            slot
         } else {
-            false
+            return false;
+        };
+        self.counters.hits += 1;
+        if self.config.replacement() == Replacement::Lru {
+            self.tick += 1;
+            self.slots[slot].stamp = self.tick;
         }
+        true
     }
 
     /// Checks residency without counting or touching recency.
@@ -577,5 +586,175 @@ mod tests {
         let mut t = tiny(8, 0, Replacement::Random);
         t.insert_user(vpn(3));
         assert!(!t.contains(kvpn(3)));
+    }
+
+    #[test]
+    fn last_hit_filter_misses_an_evicted_entry() {
+        let mut t = tiny(1, 0, Replacement::Fifo);
+        t.insert_user(vpn(1));
+        assert!(t.lookup(vpn(1)));
+        assert_eq!(t.insert_user(vpn(2)), Some(vpn(1)), "the filtered slot is reused");
+        assert!(!t.lookup(vpn(1)));
+        assert!(t.lookup(vpn(2)));
+        assert_eq!(t.counters().hits, 2);
+    }
+
+    #[test]
+    fn last_hit_filter_misses_after_a_flush() {
+        let mut t = tiny(4, 0, Replacement::Random);
+        t.insert_user(vpn(1));
+        assert!(t.lookup(vpn(1)));
+        t.flush();
+        assert!(!t.lookup(vpn(1)));
+        assert_eq!(t.counters().misses(), 1);
+    }
+
+    #[test]
+    fn last_hit_filter_follows_a_migration() {
+        // 2 protected + 2 user slots.
+        let mut t = tiny(4, 2, Replacement::Fifo);
+        t.insert_user(kvpn(9));
+        assert!(t.lookup(kvpn(9)), "filter now points into the user partition");
+        t.insert_protected(kvpn(9));
+        assert!(t.lookup(kvpn(9)), "still resident, now protected");
+        // Reuse the user slot it left; the filter must not alias it.
+        t.insert_user(vpn(1));
+        t.insert_user(vpn(2));
+        assert!(t.lookup(vpn(1)) && t.lookup(vpn(2)) && t.lookup(kvpn(9)));
+        // Demote again and evict it from the user partition.
+        t.insert_user(kvpn(9));
+        assert!(t.lookup(kvpn(9)));
+        while t.contains(kvpn(9)) {
+            t.insert_user(vpn(100 + t.counters().insertions));
+        }
+        assert!(!t.lookup(kvpn(9)));
+    }
+
+    /// A linear-scan TLB with the same replacement semantics: the
+    /// reference the indexed, filtered [`Tlb`] must match step for step.
+    struct ScanTlb {
+        config: TlbConfig,
+        slots: Vec<(Option<Vpn>, u64)>,
+        rng: SplitMix64,
+        tick: u64,
+        counters: TlbCounters,
+    }
+
+    impl ScanTlb {
+        fn new(config: TlbConfig, seed: u64) -> ScanTlb {
+            ScanTlb {
+                config,
+                slots: vec![(None, 0); config.entries()],
+                rng: SplitMix64::new(seed),
+                tick: 0,
+                counters: TlbCounters::default(),
+            }
+        }
+
+        fn find(&self, vpn: Vpn) -> Option<usize> {
+            self.slots.iter().position(|s| s.0 == Some(vpn))
+        }
+
+        fn lookup(&mut self, vpn: Vpn) -> bool {
+            self.counters.lookups += 1;
+            let Some(i) = self.find(vpn) else { return false };
+            self.counters.hits += 1;
+            if self.config.replacement() == Replacement::Lru {
+                self.tick += 1;
+                self.slots[i].1 = self.tick;
+            }
+            true
+        }
+
+        fn insert(&mut self, vpn: Vpn, protected: bool) -> Option<Vpn> {
+            let p = self.config.protected_slots();
+            let (lo, hi) = match (protected, p) {
+                (false, _) => (p, self.config.entries()),
+                (true, 0) => (0, self.config.entries()),
+                (true, _) => (0, p),
+            };
+            self.counters.insertions += 1;
+            self.tick += 1;
+            if let Some(i) = self.find(vpn) {
+                if (lo..hi).contains(&i) {
+                    self.slots[i].1 = self.tick;
+                    return None;
+                }
+                self.slots[i].0 = None;
+            }
+            let victim = match (lo..hi).find(|&i| self.slots[i].0.is_none()) {
+                Some(free) => free,
+                None => {
+                    self.counters.evictions += 1;
+                    match self.config.replacement() {
+                        Replacement::Random => lo + self.rng.next_below((hi - lo) as u64) as usize,
+                        Replacement::Lru | Replacement::Fifo => {
+                            let mut best = lo;
+                            for i in lo..hi {
+                                if self.slots[i].1 < self.slots[best].1 {
+                                    best = i;
+                                }
+                            }
+                            best
+                        }
+                    }
+                }
+            };
+            std::mem::replace(&mut self.slots[victim], (Some(vpn), self.tick)).0
+        }
+    }
+
+    #[test]
+    fn filtered_tlb_matches_a_linear_scan_reference() {
+        let mut rng = SplitMix64::new(0x71b_f11e);
+        for replacement in [Replacement::Random, Replacement::Lru, Replacement::Fifo] {
+            for case in 0..40 {
+                let entries = 1 + rng.next_below(12) as usize;
+                let protected = rng.next_below(entries as u64) as usize;
+                let config = TlbConfig::new(entries, protected, replacement).unwrap();
+                let mut fast = Tlb::new(config, case);
+                let mut slow = ScanTlb::new(config, case);
+                // A universe a little larger than the TLB, so hits,
+                // evictions and migrations all happen often.
+                let universe = 2 + entries as u64 * 2;
+                let page = |r: u64| {
+                    let i = r % universe;
+                    if i.is_multiple_of(3) {
+                        kvpn(i)
+                    } else {
+                        vpn(i)
+                    }
+                };
+                for step in 0..600 {
+                    let r = rng.next_u64();
+                    let v = page(r >> 8);
+                    let ctx = format!("{replacement} case {case} step {step}");
+                    match r % 16 {
+                        0..=8 => assert_eq!(fast.lookup(v), slow.lookup(v), "{ctx}"),
+                        9..=12 => assert_eq!(fast.insert_user(v), slow.insert(v, false), "{ctx}"),
+                        13 | 14 => {
+                            assert_eq!(fast.insert_protected(v), slow.insert(v, true), "{ctx}")
+                        }
+                        _ if r & 0x100_0000 == 0 => {
+                            fast.flush();
+                            slow.slots.iter_mut().for_each(|s| s.0 = None);
+                        }
+                        _ => {
+                            fast.reset_counters();
+                            slow.counters = TlbCounters::default();
+                        }
+                    }
+                    assert_eq!(fast.counters(), slow.counters, "{ctx}");
+                    assert_eq!(
+                        fast.occupancy(),
+                        slow.slots.iter().filter(|s| s.0.is_some()).count(),
+                        "{ctx}"
+                    );
+                }
+                for i in 0..universe {
+                    assert_eq!(fast.contains(page(i)), slow.find(page(i)).is_some());
+                }
+            }
+        }
     }
 }
