@@ -9,7 +9,7 @@
 //! * [`Fault::Io`] — the point's first build attempts fail with a
 //!   transient I/O error (succeeds once retries kick in).
 //! * [`Fault::Corrupt`] — a trace record is corrupted in flight (an
-//!   unaligned fetch address), for [`crate::CheckedTrace`] to catch.
+//!   unaligned fetch address), for [`crate::check_record`] to catch.
 //! * [`Fault::Runaway`] — from the trigger record on, every data
 //!   reference touches a fresh page, detonating a TLB-miss storm that
 //!   blows any sane walk-cycle budget (pair with a deadline).
@@ -325,7 +325,7 @@ impl<I: Iterator<Item = InstrRecord>> Iterator for ChaosTrace<I> {
                     }
                     Fault::Corrupt => {
                         // An unaligned fetch address, as a bit-flipped
-                        // import would produce; CheckedTrace reports it.
+                        // import would produce; check_record reports it.
                         self.armed = None;
                         rec.pc = MAddr::user(rec.pc.offset() | 1);
                     }

@@ -12,7 +12,6 @@ use std::any::Any;
 use std::fmt;
 
 use crate::deadline::DeadlineExceeded;
-use crate::guard::CorruptRecord;
 
 /// Machine-readable classification of a point failure.
 ///
@@ -136,8 +135,7 @@ impl SimError {
     }
 
     /// Classifies a caught panic payload: deadline sentinels become
-    /// [`FailureKind::Timeout`], corruption sentinels become
-    /// [`FailureKind::CorruptTrace`], everything else is a plain
+    /// [`FailureKind::Timeout`], everything else is a plain
     /// [`FailureKind::Panic`] with the payload's message when one exists.
     pub fn from_panic(label: impl Into<String>, payload: Box<dyn Any + Send>) -> SimError {
         let (kind, detail) = classify_panic(payload);
@@ -158,15 +156,10 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Maps a panic payload to a failure kind and message: deadline
-/// sentinels are timeouts, corruption sentinels are corrupt traces,
-/// string payloads keep their message.
+/// sentinels are timeouts, string payloads keep their message.
 pub fn classify_panic(payload: Box<dyn Any + Send>) -> (FailureKind, String) {
     let payload = match payload.downcast::<DeadlineExceeded>() {
         Ok(d) => return (FailureKind::Timeout, d.to_string()),
-        Err(p) => p,
-    };
-    let payload = match payload.downcast::<CorruptRecord>() {
-        Ok(c) => return (FailureKind::CorruptTrace, c.to_string()),
         Err(p) => p,
     };
     let msg = match payload.downcast::<String>() {
@@ -265,8 +258,6 @@ mod tests {
             classify_panic(Box::new(DeadlineExceeded { budget: 10, spent: 11, at_instr: 5 }));
         assert_eq!(kind, FailureKind::Timeout);
         assert!(msg.contains("budget"), "{msg}");
-        let (kind, _) = classify_panic(Box::new(CorruptRecord { at: 7, why: "unaligned pc" }));
-        assert_eq!(kind, FailureKind::CorruptTrace);
         let (kind, msg) = classify_panic(Box::new("boom".to_owned()));
         assert_eq!(kind, FailureKind::Panic);
         assert_eq!(msg, "boom");

@@ -1,12 +1,11 @@
 //! Trace validation and panic-output suppression.
 //!
-//! [`CheckedTrace`] sits between a trace source (generator, importer, or
-//! chaos wrapper) and the simulator, validating every record against the
-//! invariants the simulator assumes. A violation raises a
-//! [`CorruptRecord`] unwind that hardened executors classify as
-//! [`crate::FailureKind::CorruptTrace`] — the point fails with a precise
-//! diagnosis instead of the simulator producing garbage (or dying
-//! somewhere deep in the cache model).
+//! [`check_record`] validates a record against the invariants the
+//! simulator assumes. Hardened executors run it over every record before
+//! any simulator sees it and report the first violation as a
+//! [`CorruptRecord`], classified [`crate::FailureKind::CorruptTrace`] —
+//! the point fails with a precise diagnosis instead of the simulator
+//! producing garbage (or dying somewhere deep in the cache model).
 //!
 //! [`quiet_panics`] suppresses the default panic hook's stderr banner
 //! for the current thread while a guard is alive. Hardened executors
@@ -21,7 +20,7 @@ use std::sync::Once;
 use vm_trace::InstrRecord;
 use vm_types::{AddressSpace, USER_SPACE_BYTES};
 
-/// The unwind payload raised for an invalid trace record.
+/// The diagnosis for an invalid trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptRecord {
     /// Zero-based offset of the bad record in the stream.
@@ -58,35 +57,6 @@ pub fn check_record(rec: &InstrRecord) -> Result<(), &'static str> {
         }
     }
     Ok(())
-}
-
-/// An iterator adaptor that validates every record with
-/// [`check_record`], unwinding with [`CorruptRecord`] on the first
-/// violation.
-#[derive(Debug)]
-pub struct CheckedTrace<I> {
-    inner: I,
-    seen: u64,
-}
-
-impl<I> CheckedTrace<I> {
-    /// Wraps a trace in validation.
-    pub fn new(inner: I) -> CheckedTrace<I> {
-        CheckedTrace { inner, seen: 0 }
-    }
-}
-
-impl<I: Iterator<Item = InstrRecord>> Iterator for CheckedTrace<I> {
-    type Item = InstrRecord;
-
-    fn next(&mut self) -> Option<InstrRecord> {
-        let rec = self.inner.next()?;
-        if let Err(why) = check_record(&rec) {
-            std::panic::panic_any(CorruptRecord { at: self.seen, why });
-        }
-        self.seen += 1;
-        Some(rec)
-    }
 }
 
 thread_local! {
@@ -135,13 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_records_pass_through() {
-        let recs = vec![ok_rec(), InstrRecord::plain(MAddr::user(0x404))];
-        let out: Vec<_> = CheckedTrace::new(recs.clone().into_iter()).collect();
-        assert_eq!(out, recs);
-    }
-
-    #[test]
     fn invariant_checks_cover_each_field() {
         assert!(check_record(&ok_rec()).is_ok());
         let unaligned = InstrRecord::plain(MAddr::user(0x401));
@@ -155,16 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_record_unwinds_with_offset() {
-        let _quiet = quiet_panics();
-        let recs = vec![ok_rec(), InstrRecord::plain(MAddr::user(0x401))];
-        let payload = std::panic::catch_unwind(|| {
-            CheckedTrace::new(recs.into_iter()).count();
-        })
-        .unwrap_err();
-        let c = payload.downcast::<CorruptRecord>().expect("sentinel payload");
-        assert_eq!(c.at, 1);
-        assert!(c.to_string().contains("offset 1"), "{c}");
+    fn corrupt_record_names_offset_and_invariant() {
+        let c = CorruptRecord { at: 1, why: "unaligned fetch address" };
+        assert_eq!(c.to_string(), "corrupt trace record at offset 1: unaligned fetch address");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   applied only to transient (I/O) failures.
 //! * [`deadline`] — [`DeadlineSink`], a walk-cycle budget in simulated
 //!   time that degrades runaway points to a `TimedOut` outcome.
-//! * [`guard`] — [`CheckedTrace`] record validation and
+//! * [`guard`] — [`check_record`] record validation and
 //!   [`quiet_panics`] hook suppression for executors that expect
 //!   unwinds.
 //! * [`chaos`] — deterministic fault injection ([`ChaosPlan`]) so tests
@@ -40,7 +40,7 @@ pub mod retry;
 pub use chaos::{ChaosPlan, ChaosTrace, Fault};
 pub use deadline::{DeadlineExceeded, DeadlineSink};
 pub use error::{classify_panic, FailureKind, PointOutcome, SimError};
-pub use guard::{check_record, quiet_panics, CheckedTrace, CorruptRecord, QuietPanicGuard};
+pub use guard::{check_record, quiet_panics, CorruptRecord, QuietPanicGuard};
 pub use journal::{
     fingerprint, DynJournalWriter, Journal, JournalEntry, JournalWriter, RunHeader, SharedBuf,
     SyncWrite, JOURNAL_VERSION,
