@@ -4,9 +4,13 @@
 //! gcc, vortex and ijpeg at a small fixed scale, every raw event count
 //! plus the I/D TLB and cache counters of a direct `vm_core::simulate`,
 //! and the attestation (`att`) each point gets through the sweep
-//! executor. A determinism test inside one binary cannot see an
-//! optimization that changes a number the same way in both runs; this
-//! file can, because it was written by an earlier build.
+//! executor. Its `coverage` list pins, the same way and at the same
+//! scale, ULTRIX points that grid never reaches: the CI sweep's 6-point
+//! `tlb.entries` × `mmu.table` grid, LRU and FIFO TLB replacement, 2-
+//! and 4-way caches, and a unified L2. A determinism test inside one
+//! binary cannot see an optimization that changes a number the same way
+//! in both runs; this file can, because it was written by an earlier
+//! build.
 //!
 //! After a change that is *meant* to move the numbers, regenerate it
 //! with `cargo test --test sim_golden -- --ignored` and review the diff.
@@ -48,17 +52,33 @@ fn paper_grid() -> SweepPlan {
     plan
 }
 
-/// Renders the golden document from this build: one point per line so
-/// a drift diffs to the point that moved.
-fn render() -> String {
-    let plan = paper_grid();
-    assert_eq!(plan.points.len(), 18);
-    let swept = run_sweep(&plan, &EXEC, &Reporter::silent(), &mut NopSink);
-    let mut out = String::from("{\"schema\":\"vm-sim-golden/1\",");
-    out.push_str(&format!(
-        "\"trace_seed\":{TRACE_SEED},\"warmup\":{},\"measure\":{},\"points\":[\n",
-        EXEC.warmup, EXEC.measure
-    ));
+/// ULTRIX points off the paper grid, one sweep per axis group, with
+/// contiguous indices.
+fn coverage_grid() -> SweepPlan {
+    let groups: [&[&str]; 4] = [
+        &["tlb.entries=32,64,128", "mmu.table=two-tier,hashed"],
+        &["tlb.replacement=lru,fifo"],
+        &["cache.assoc=2-way,4-way"],
+        &["cache.unified=true"],
+    ];
+    let mut base = SystemSpec::parse(PAPER_SPECS[1]).unwrap();
+    base.set("workload.seed", &TRACE_SEED.to_string()).unwrap();
+    let mut plan = SweepPlan::default();
+    for group in groups {
+        let axes: Vec<Axis> = group.iter().map(|a| Axis::parse(a).unwrap()).collect();
+        for mut p in SweepPlan::expand(&base, &axes).unwrap().points {
+            p.index = plan.points.len();
+            plan.points.push(p);
+        }
+    }
+    plan
+}
+
+/// Appends one line per point of `plan`: its label, its `att` through
+/// the sweep executor, and the report of a direct simulate. Lines are
+/// comma-separated, the last one bare.
+fn render_points(plan: &SweepPlan, out: &mut String) {
+    let swept = run_sweep(plan, &EXEC, &Reporter::silent(), &mut NopSink);
     for (i, (point, result)) in plan.points.iter().zip(&swept).enumerate() {
         let workload = point.spec.workload_name();
         let trace = vm_trace::presets::by_name(workload).unwrap().build(TRACE_SEED).unwrap();
@@ -71,6 +91,23 @@ fn render() -> String {
             report.to_json()
         ));
     }
+}
+
+/// Renders the golden document from this build: one point per line so
+/// a drift diffs to the point that moved.
+fn render() -> String {
+    let plan = paper_grid();
+    assert_eq!(plan.points.len(), 18);
+    let coverage = coverage_grid();
+    assert_eq!(coverage.points.len(), 11);
+    let mut out = String::from("{\"schema\":\"vm-sim-golden/1\",");
+    out.push_str(&format!(
+        "\"trace_seed\":{TRACE_SEED},\"warmup\":{},\"measure\":{},\"points\":[\n",
+        EXEC.warmup, EXEC.measure
+    ));
+    render_points(&plan, &mut out);
+    out.push_str("],\"coverage\":[\n");
+    render_points(&coverage, &mut out);
     out.push_str("]}\n");
     out
 }
