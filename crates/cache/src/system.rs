@@ -115,6 +115,7 @@ impl CacheSystem {
         matches!(self.l2, L2::Unified(_))
     }
 
+    #[inline]
     fn l2_for_fetch(&mut self) -> &mut Cache {
         match &mut self.l2 {
             L2::Split { i, .. } => i,
@@ -122,6 +123,7 @@ impl CacheSystem {
         }
     }
 
+    #[inline]
     fn l2_for_data(&mut self) -> &mut Cache {
         match &mut self.l2 {
             L2::Split { d, .. } => d,
@@ -130,6 +132,7 @@ impl CacheSystem {
     }
 
     /// An instruction fetch: L1I, then the (split or unified) L2.
+    #[inline]
     pub fn fetch(&mut self, addr: MAddr) -> MissClass {
         if self.l1i.access(addr) {
             MissClass::L1Hit
@@ -159,6 +162,7 @@ impl CacheSystem {
     }
 
     /// A data reference: L1D, then the (split or unified) L2.
+    #[inline]
     pub fn data(&mut self, addr: MAddr) -> MissClass {
         if self.l1d.access(addr) {
             MissClass::L1Hit

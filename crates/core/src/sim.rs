@@ -407,6 +407,26 @@ impl<S: Sink> MemorySystem<S> {
                 self.flush_tlbs();
             }
         }
+        self.execute(rec);
+    }
+
+    /// Executes `records` in order, exactly as [`MemorySystem::step`] on
+    /// each would. With ASID-tagged TLBs and no periodic flush (the
+    /// paper's configuration) no record can trigger a context switch, so
+    /// that model is checked once per slice instead of once per record.
+    pub fn step_slice(&mut self, records: &[InstrRecord]) {
+        if self.asid_mode != AsidMode::Tagged || self.flush_tlb_every.is_some() {
+            records.iter().for_each(|rec| self.step(rec));
+            return;
+        }
+        let Some(last) = records.last() else { return };
+        self.last_asid = Some(last.pc.asid());
+        records.iter().for_each(|rec| self.execute(rec));
+    }
+
+    /// The user instruction itself: its fetch and its data reference.
+    #[inline]
+    fn execute(&mut self, rec: &InstrRecord) {
         self.counts.user_instrs += 1;
         self.reference(rec.pc, AccessKind::Fetch);
         if let Some(d) = rec.data {
@@ -798,6 +818,38 @@ mod tests {
         let user_l2_misses = r.counts.l2i_misses + r.counts.l2d_misses;
         assert_eq!(r.counts.handler_invocations[0], user_l2_misses);
         assert!(r.counts.total_interrupts() >= user_l2_misses);
+    }
+
+    #[test]
+    fn step_slice_matches_step_in_every_context_switch_mode() {
+        let records: Vec<InstrRecord> = vm_trace::Multiprogram::new(
+            vec![presets::gcc_spec(), presets::vortex_spec()],
+            3_000,
+            5,
+        )
+        .unwrap()
+        .take(40_000)
+        .collect();
+        for (asid_mode, flush_tlb_every) in
+            [(AsidMode::Tagged, None), (AsidMode::Untagged, None), (AsidMode::Tagged, Some(7_000))]
+        {
+            let config = SimConfig {
+                asid_mode,
+                flush_tlb_every,
+                ..SimConfig::paper_default(SystemKind::Mach)
+            };
+            let mut stepped = config.build().unwrap();
+            records.iter().for_each(|r| stepped.step(r));
+            let mut sliced = config.build().unwrap();
+            for chunk in records.chunks(4_096) {
+                sliced.step_slice(chunk);
+            }
+            sliced.step_slice(&[]);
+            let (sliced, stepped) = (sliced.report(), stepped.report());
+            assert_eq!(sliced.to_json(), stepped.to_json(), "{asid_mode:?} {flush_tlb_every:?}");
+            let fast = asid_mode == AsidMode::Tagged && flush_tlb_every.is_none();
+            assert_eq!(sliced.counts.tlb_flushes > 0, !fast, "{asid_mode:?} {flush_tlb_every:?}");
+        }
     }
 
     #[test]

