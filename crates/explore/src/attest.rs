@@ -29,26 +29,23 @@
 //! carries a valid attestation) is handled above this layer by
 //! divergence detection and audit sampling (docs/robustness.md).
 
+use vm_trace::wire::Fnv1a;
+
 use crate::exec::{ExecConfig, PointResult};
 use crate::sweep::PlannedPoint;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// An incremental FNV-1a hasher with explicit field separators, so
 /// adjacent fields cannot alias (`"ab","c"` vs `"a","bc"`).
 #[derive(Debug, Clone)]
-struct Fnv(u64);
+struct Fnv(Fnv1a);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
+        Fnv(Fnv1a::new())
     }
 
     fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0.update(bytes);
         self
     }
 
@@ -61,12 +58,11 @@ impl Fnv {
     }
 
     fn sep(&mut self) -> &mut Fnv {
-        self.0 = (self.0 ^ 0xff).wrapping_mul(FNV_PRIME);
-        self
+        self.bytes(&[0xff])
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.0.digest()
     }
 }
 

@@ -28,6 +28,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use vm_obs::json::{self, Value};
+use vm_trace::wire::Fnv1a;
 
 use crate::error::{FailureKind, PointOutcome, SimError};
 
@@ -150,22 +151,14 @@ impl RunHeader {
 /// Hashes a plan identity (point labels, run lengths) into the header
 /// fingerprint: an FNV-1a fold, stable across platforms and runs.
 pub fn fingerprint<'a>(labels: impl Iterator<Item = &'a str>, warmup: u64, measure: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
     for label in labels {
-        eat(label.as_bytes());
-        eat(&[0xff]); // label separator
+        h.update(label.as_bytes());
+        h.update(&[0xff]); // label separator
     }
-    eat(&warmup.to_le_bytes());
-    eat(&measure.to_le_bytes());
-    h
+    h.update(&warmup.to_le_bytes());
+    h.update(&measure.to_le_bytes());
+    h.digest()
 }
 
 /// One journaled point: status plus either a payload (done) or an error

@@ -6,8 +6,9 @@
 //! and the whole trace by one fingerprint over every byte. Both codecs
 //! live here so client and server agree by construction:
 //!
-//! * [`fnv1a`] — the same FNV-1a 64 the vm-harden run journal uses for
-//!   its result fingerprints, applied to raw bytes. FNV-1a's update
+//! * [`fnv1a`] — the FNV-1a 64 that also backs the run journal's plan
+//!   fingerprint and the sweep attestations, here applied to raw
+//!   bytes. FNV-1a's update
 //!   step `h' = (h ^ b) * PRIME` is invertible in `h` (the prime is
 //!   odd), so *any* single-byte change yields a different digest —
 //!   exactly the guarantee a per-chunk checksum needs against bit
@@ -17,7 +18,7 @@
 //!   missing padding) so a truncated chunk body is an error, never a
 //!   silently shorter payload.
 
-/// FNV-1a offset basis (matches `vm_harden::journal`'s fingerprint).
+/// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
