@@ -14,6 +14,11 @@
 //!
 //! After a change that is *meant* to move the numbers, regenerate it
 //! with `cargo test --test sim_golden -- --ignored` and review the diff.
+//! That also rewrites the figure golden, `GOLDEN_figures.json` (see
+//! `tests/common/figures.rs`).
+
+#[path = "common/figures.rs"]
+mod figures;
 
 use vm_core::simulate;
 use vm_explore::{run_sweep, Axis, ExecConfig, SweepPlan, SystemSpec};
@@ -123,7 +128,8 @@ fn simulator_numbers_match_the_committed_golden() {
 }
 
 #[test]
-#[ignore = "rewrites GOLDEN_sim.json; run only for an intended change"]
+#[ignore = "rewrites GOLDEN_sim.json and GOLDEN_figures.json; run only for an intended change"]
 fn regenerate_golden() {
     std::fs::write(GOLDEN_PATH, render()).unwrap();
+    std::fs::write(figures::PATH, figures::render()).unwrap();
 }
