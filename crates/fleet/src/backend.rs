@@ -7,79 +7,31 @@
 //! an address the NDJSON protocol answers on; the only difference is
 //! that spawned children are drained and reaped at shutdown.
 //!
-//! Eviction reuses the supervise crash-loop breaker semantics: a
+//! Eviction uses the worker pool's crash-loop breaker, [`Breaker`]: a
 //! backend that accumulates more than `max_failures` transport or job
 //! failures inside a sliding `window` is removed from rotation and its
-//! in-flight points return to the pending pool. The default budget
-//! matches `vm_supervise`'s `BreakerConfig` (3 failures / 60 s) so one
-//! mental model covers both layers.
+//! in-flight points return to the pending pool. The default budget is
+//! the pool's too (3 failures / 60 s), so one mental model covers both
+//! layers.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+pub use vm_harden::Breaker;
+/// When to evict a backend: the fleet's name for the shared
+/// [`BreakerPolicy`](vm_harden::BreakerPolicy), whose default (the
+/// fourth failure inside a minute) is also the worker pool's crash-loop
+/// budget.
+pub use vm_harden::BreakerPolicy as EvictPolicy;
 use vm_harden::{with_retry_salted, FailureKind, RetryPolicy, SimError};
 use vm_obs::json::Value;
 use vm_serve::Client;
 
 /// The address line every daemon prints first on stdout.
 const LISTENING_PREFIX: &str = "vm-serve listening on ";
-
-/// When to evict a backend: strictly more than `max_failures` failures
-/// inside a sliding `window`, mirroring the supervise crash-loop
-/// breaker (`BreakerConfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictPolicy {
-    /// Failures tolerated inside the window before eviction.
-    pub max_failures: u32,
-    /// Sliding window the failures must fall inside.
-    pub window: Duration,
-}
-
-impl Default for EvictPolicy {
-    fn default() -> EvictPolicy {
-        // Same budget as vm_supervise::BreakerConfig: the fourth
-        // failure inside a minute evicts.
-        EvictPolicy { max_failures: 3, window: Duration::from_secs(60) }
-    }
-}
-
-/// A sliding-window failure counter with the supervise breaker's trip
-/// rule. Time is passed in, not sampled, so tests never sleep.
-#[derive(Debug)]
-pub struct Breaker {
-    policy: EvictPolicy,
-    window: VecDeque<Instant>,
-}
-
-impl Breaker {
-    /// A closed breaker under `policy`.
-    pub fn new(policy: EvictPolicy) -> Breaker {
-        Breaker { policy, window: VecDeque::new() }
-    }
-
-    /// Records one failure at `now`; returns `true` when the breaker
-    /// trips (the failure count inside the window exceeds the budget).
-    pub fn record(&mut self, now: Instant) -> bool {
-        self.window.push_back(now);
-        while let Some(&front) = self.window.front() {
-            if now.duration_since(front) > self.policy.window {
-                self.window.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.window.len() as u32 > self.policy.max_failures
-    }
-
-    /// Failures currently inside the window.
-    pub fn failures(&self) -> u32 {
-        self.window.len() as u32
-    }
-}
 
 /// How a backend's teardown went: whether the daemon acknowledged the
 /// `drain` verb, whether it exited cleanly inside the deadline, and

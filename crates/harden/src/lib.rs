@@ -12,6 +12,8 @@
 //!   diagnoses instead of "a thread panicked".
 //! * [`retry`] — [`RetryPolicy`] with capped exponential backoff,
 //!   applied only to transient (I/O) failures.
+//! * [`breaker`] — the sliding-window [`Breaker`] behind the worker
+//!   pool's crash-loop give-up and the fleet's backend eviction.
 //! * [`deadline`] — [`DeadlineSink`], a walk-cycle budget in simulated
 //!   time that degrades runaway points to a `TimedOut` outcome.
 //! * [`guard`] — [`check_record`] record validation and
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod breaker;
 pub mod chaos;
 pub mod deadline;
 pub mod error;
@@ -37,6 +40,7 @@ pub mod guard;
 pub mod journal;
 pub mod retry;
 
+pub use breaker::{Breaker, BreakerPolicy};
 pub use chaos::{ChaosPlan, ChaosTrace, Fault};
 pub use deadline::{DeadlineExceeded, DeadlineSink};
 pub use error::{classify_panic, FailureKind, PointOutcome, SimError};
