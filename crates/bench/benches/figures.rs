@@ -21,7 +21,7 @@ fn bench_fig6_fig7(r: &mut Runner) {
         cfg.l1_sizes = vec![4 << 10, 64 << 10];
         cfg.line_pairs = vec![(64, 128)];
         cfg.l2_sizes = vec![512 << 10];
-        cfg.scale = BENCH_SCALE;
+        cfg.exec = BENCH_SCALE;
         r.bench(name, 0, || black_box(fig6::run(&cfg)));
     }
 }
@@ -32,7 +32,7 @@ fn bench_fig8_fig9(r: &mut Runner) {
     {
         let mut cfg = fig8::Config::quick(spec);
         cfg.l1_sizes = vec![16 << 10];
-        cfg.scale = BENCH_SCALE;
+        cfg.exec = BENCH_SCALE;
         r.bench(name, 0, || black_box(fig8::run(&cfg)));
     }
 }
@@ -41,7 +41,7 @@ fn bench_fig10(r: &mut Runner) {
     r.group("fig10_interrupt_costs");
     let mut cfg = interrupts::Config::paper(vec![presets::gcc_spec()]);
     cfg.systems = vec![SystemKind::Ultrix, SystemKind::Intel];
-    cfg.scale = BENCH_SCALE;
+    cfg.exec = BENCH_SCALE;
     r.bench("fig10_gcc", 0, || black_box(interrupts::run(&cfg)));
 }
 
@@ -50,7 +50,7 @@ fn bench_fig11(r: &mut Runner) {
     let mut cfg = tlbsize::Config::paper(vec![presets::gcc_spec()]);
     cfg.systems = vec![SystemKind::Ultrix];
     cfg.entries = vec![32, 128];
-    cfg.scale = BENCH_SCALE;
+    cfg.exec = BENCH_SCALE;
     r.bench("fig11_gcc_ultrix", 0, || black_box(tlbsize::run(&cfg)));
 }
 
@@ -58,7 +58,7 @@ fn bench_fig12(r: &mut Runner) {
     r.group("fig12_inflicted_mcpi");
     let mut cfg = mcpi::Config::paper(vec![presets::gcc_spec()]);
     cfg.systems = vec![SystemKind::Ultrix, SystemKind::Intel];
-    cfg.scale = BENCH_SCALE;
+    cfg.exec = BENCH_SCALE;
     r.bench("fig12_gcc", 0, || black_box(mcpi::run(&cfg)));
 }
 
@@ -66,7 +66,7 @@ fn bench_fig13(r: &mut Runner) {
     r.group("fig13_total_overhead");
     let mut cfg = total::Config::paper(vec![presets::gcc_spec()]);
     cfg.systems = vec![SystemKind::Ultrix, SystemKind::Intel];
-    cfg.scale = BENCH_SCALE;
+    cfg.exec = BENCH_SCALE;
     r.bench("fig13_gcc", 0, || black_box(total::run(&cfg)));
 }
 
@@ -74,7 +74,7 @@ fn bench_ablations(r: &mut Runner) {
     r.group("ablations");
     for ablation in ablations::Ablation::ALL {
         let mut cfg = ablations::Config::new(ablation, vec![presets::gcc_spec()]);
-        cfg.scale = BENCH_SCALE;
+        cfg.exec = BENCH_SCALE;
         r.bench(ablation.name(), 0, || black_box(ablations::run(&cfg)));
     }
 }

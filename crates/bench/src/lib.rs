@@ -24,12 +24,12 @@
 
 use std::time::{Duration, Instant};
 
-use vm_experiments::RunScale;
+use vm_experiments::ExecConfig;
 
 /// The micro scale used by the figure benches: small enough that a full
 /// `cargo bench` stays in minutes on one core, large enough to exercise
 /// warm steady-state behaviour.
-pub const BENCH_SCALE: RunScale = RunScale { warmup: 20_000, measure: 60_000 };
+pub const BENCH_SCALE: ExecConfig = ExecConfig { warmup: 20_000, measure: 60_000, jobs: 1 };
 
 /// Instructions per iteration for the simulator-throughput benches.
 pub const SIM_INSTRS: u64 = 50_000;

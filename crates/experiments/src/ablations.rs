@@ -11,11 +11,12 @@
 use vm_cache::Associativity;
 use vm_core::cost::CostModel;
 use vm_core::{SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_tlb::Replacement;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, Outcome, RunScale};
+use crate::runner::{run_jobs, Job, Outcome};
 use crate::table::TextTable;
 
 /// Which ablation to run.
@@ -88,16 +89,14 @@ pub struct Config {
     pub ablation: Ablation,
     /// Workloads to measure.
     pub workloads: Vec<WorkloadSpec>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
     /// Default configuration for an ablation.
     pub fn new(ablation: Ablation, workloads: Vec<WorkloadSpec>) -> Config {
-        Config { ablation, workloads, scale: RunScale::DEFAULT, threads: 1 }
+        Config { ablation, workloads, exec: ExecConfig::DEFAULT }
     }
 }
 
@@ -127,8 +126,8 @@ pub struct Result {
     pub rows: Vec<Row>,
 }
 
-fn job(label: &str, config: SimConfig, workload: &WorkloadSpec, scale: RunScale) -> Job {
-    Job::new(label, config, workload.clone(), scale)
+fn job(label: &str, config: SimConfig, workload: &WorkloadSpec) -> Job {
+    Job::new(label, config, workload.clone())
 }
 
 /// Runs the chosen ablation.
@@ -143,12 +142,7 @@ pub fn run(config: &Config) -> Result {
                     SystemKind::Hybrid,
                     SystemKind::Intel,
                 ] {
-                    jobs.push(job(
-                        system.label(),
-                        SimConfig::paper_default(system),
-                        w,
-                        config.scale,
-                    ));
+                    jobs.push(job(system.label(), SimConfig::paper_default(system), w));
                 }
             }
             Ablation::WalkMode => {
@@ -159,12 +153,7 @@ pub fn run(config: &Config) -> Result {
                     SystemKind::NoTlb,
                     SystemKind::NoTlbHw,
                 ] {
-                    jobs.push(job(
-                        system.label(),
-                        SimConfig::paper_default(system),
-                        w,
-                        config.scale,
-                    ));
+                    jobs.push(job(system.label(), SimConfig::paper_default(system), w));
                 }
             }
             Ablation::Associativity => {
@@ -175,7 +164,7 @@ pub fn run(config: &Config) -> Result {
                 ] {
                     let mut sim = SimConfig::paper_default(SystemKind::Ultrix);
                     sim.associativity = assoc;
-                    jobs.push(job(label, sim, w, config.scale));
+                    jobs.push(job(label, sim, w));
                 }
             }
             Ablation::TlbPolicy => {
@@ -186,25 +175,20 @@ pub fn run(config: &Config) -> Result {
                 ] {
                     let mut sim = SimConfig::paper_default(SystemKind::Ultrix);
                     sim.tlb_replacement = policy;
-                    jobs.push(job(label, sim, w, config.scale));
+                    jobs.push(job(label, sim, w));
                 }
                 // The partition ablation: give ULTRIX no protected slots,
                 // so root-level PTEs fight user entries for residency.
                 let mut sim = SimConfig::paper_default(SystemKind::Ultrix);
                 sim.tlb_protected = Some(0);
-                jobs.push(job("unpartitioned", sim, w, config.scale));
+                jobs.push(job("unpartitioned", sim, w));
             }
             Ablation::UnifiedL2 => {
                 for system in [SystemKind::Ultrix, SystemKind::NoTlb] {
                     for (suffix, unified) in [("split", false), ("unified", true)] {
                         let mut sim = SimConfig::paper_default(system);
                         sim.unified_l2 = unified;
-                        jobs.push(job(
-                            &format!("{}-{suffix}", system.label()),
-                            sim,
-                            w,
-                            config.scale,
-                        ));
+                        jobs.push(job(&format!("{}-{suffix}", system.label()), sim, w));
                     }
                 }
             }
@@ -217,12 +201,12 @@ pub fn run(config: &Config) -> Result {
                 ] {
                     let mut sim = SimConfig::paper_default(SystemKind::Ultrix);
                     sim.flush_tlb_every = every;
-                    jobs.push(job(label, sim, w, config.scale));
+                    jobs.push(job(label, sim, w));
                 }
             }
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let rows = outcomes
         .iter()
@@ -419,8 +403,7 @@ mod tests {
         Config {
             ablation,
             workloads: vec![presets::gcc_spec()],
-            scale: RunScale { warmup: 20_000, measure: 80_000 },
-            threads: 1,
+            exec: ExecConfig { warmup: 20_000, measure: 80_000, jobs: 1 },
         }
     }
 

@@ -75,7 +75,7 @@ use vm_experiments::{
     ablations, explore, fig6, fig8, interrupts, mcpi, multiprog, registry, suite, tables,
     telemetry, tlbsize, total,
 };
-use vm_experiments::{set_global_verbosity, Claim, Reporter, RunScale, Verbosity};
+use vm_experiments::{set_global_verbosity, Claim, Reporter, Verbosity};
 use vm_explore::{Axis, ExecConfig, HardenPolicy, SystemSpec};
 use vm_fleet::{
     fleet_plan, fleet_throughput, run_fleet, seed_fleet_resume, Backend, ControlChannel,
@@ -161,9 +161,9 @@ fn run_one(args: &[String]) -> Result<(), String> {
     config.build().map_err(|e| e.to_string())?;
     workload.build(seed).map_err(|e| e.to_string())?;
     let reporter = Reporter::global();
-    let scale = RunScale { warmup: instrs / 4, measure: instrs };
+    let exec = ExecConfig { warmup: instrs / 4, measure: instrs, jobs: 1 };
     let tele = telemetry::run(
-        &telemetry::Config::single(config, workload.clone(), seed, scale),
+        &telemetry::Config::single(config, workload.clone(), seed, exec),
         events.is_some(),
         chrome.is_some(),
         &reporter,
@@ -314,12 +314,8 @@ fn explore_cmd(args: &[String]) -> Result<(), String> {
                 chaos_seed =
                     value("--chaos-seed")?.parse().map_err(|e| format!("bad --chaos-seed: {e}"))?
             }
-            "--quick" => {
-                (exec.warmup, exec.measure) = (RunScale::QUICK.warmup, RunScale::QUICK.measure)
-            }
-            "--full" => {
-                (exec.warmup, exec.measure) = (RunScale::FULL.warmup, RunScale::FULL.measure)
-            }
+            "--quick" => exec = ExecConfig { jobs: exec.jobs, ..ExecConfig::QUICK },
+            "--full" => exec = ExecConfig { jobs: exec.jobs, ..ExecConfig::FULL },
             "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
             "--events" => events = Some(PathBuf::from(value("--events")?)),
             "--verbosity" => {
@@ -1286,12 +1282,8 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
                 spawn = value("--spawn")?.parse().map_err(|e| format!("bad --spawn: {e}"))?
             }
             "--backend" => addrs.push(value("--backend")?),
-            "--quick" => {
-                (exec.warmup, exec.measure) = (RunScale::QUICK.warmup, RunScale::QUICK.measure)
-            }
-            "--full" => {
-                (exec.warmup, exec.measure) = (RunScale::FULL.warmup, RunScale::FULL.measure)
-            }
+            "--quick" => exec = ExecConfig { jobs: exec.jobs, ..ExecConfig::QUICK },
+            "--full" => exec = ExecConfig { jobs: exec.jobs, ..ExecConfig::FULL },
             "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
             "--events" => events = Some(PathBuf::from(value("--events")?)),
             "--journal" => journal = Some(PathBuf::from(value("--journal")?)),
@@ -1733,8 +1725,8 @@ fn verify_cmd(args: &[String]) -> Result<(), String> {
 }
 
 struct Options {
-    scale: RunScale,
-    threads: usize,
+    /// Run lengths, and `--threads` as the worker count.
+    exec: ExecConfig,
     out: Option<PathBuf>,
     strict: bool,
     workload: Option<String>,
@@ -1756,6 +1748,12 @@ fn reset_sigpipe() {
             signal(SIGPIPE, SIG_DFL);
         }
     }
+}
+
+/// Whether `exec` runs at the `--quick` lengths (the reduced figure
+/// grids go with them).
+fn is_quick(exec: &ExecConfig) -> bool {
+    ExecConfig { jobs: 1, ..*exec } == ExecConfig::QUICK
 }
 
 fn parallelism() -> usize {
@@ -1817,13 +1815,12 @@ fn run_experiment(
                 "== {name}: VMCPI vs L1/L2 cache size and line size — {} ==",
                 workload.name
             ));
-            let mut cfg = if opts.scale == RunScale::QUICK {
+            let mut cfg = if is_quick(&opts.exec) {
                 fig6::Config::quick(workload)
             } else {
                 fig6::Config::paper(workload)
             };
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = fig6::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1836,13 +1833,12 @@ fn run_experiment(
                 "== {name}: VMCPI break-downs — {} (64/128-byte lines) ==",
                 workload.name
             ));
-            let mut cfg = if opts.scale == RunScale::QUICK {
+            let mut cfg = if is_quick(&opts.exec) {
                 fig8::Config::quick(workload)
             } else {
                 fig8::Config::paper(workload)
             };
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = fig8::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1851,8 +1847,7 @@ fn run_experiment(
         "fig10" => {
             reporter.progress("== fig10: the cost of precise interrupts ==");
             let mut cfg = interrupts::Config::paper(presets::paper_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = interrupts::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1861,8 +1856,7 @@ fn run_experiment(
         "fig11" => {
             reporter.progress("== fig11: TLB-size sensitivity ==");
             let mut cfg = tlbsize::Config::paper(vec![presets::gcc_spec(), presets::vortex_spec()]);
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = tlbsize::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1871,8 +1865,7 @@ fn run_experiment(
         "fig12" => {
             reporter.progress("== fig12: cache misses inflicted on the application ==");
             let mut cfg = mcpi::Config::paper(presets::paper_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = mcpi::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1881,8 +1874,7 @@ fn run_experiment(
         "fig13" => {
             reporter.progress("== fig13: total VM overhead ==");
             let mut cfg = total::Config::paper(presets::paper_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = total::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1895,7 +1887,7 @@ fn run_experiment(
                 presets::vortex_spec(),
                 presets::ijpeg_spec(),
             ]);
-            cfg.scale = opts.scale;
+            cfg.exec = opts.exec;
             let r = multiprog::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1904,8 +1896,7 @@ fn run_experiment(
         "suite" => {
             reporter.progress("== suite: six workloads x five systems, seed-replicated ==");
             let mut cfg = suite::Config::default_suite(presets::all_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = suite::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1919,8 +1910,7 @@ fn run_experiment(
             reporter.progress(format!("== {name} =="));
             let mut cfg =
                 ablations::Config::new(ablation, vec![presets::gcc_spec(), presets::vortex_spec()]);
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
+            cfg.exec = opts.exec;
             let r = ablations::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());
@@ -1932,7 +1922,7 @@ fn run_experiment(
                 "== telemetry: instrumented pass over the paper systems — {} ==",
                 workload.name
             ));
-            let cfg = telemetry::Config::paper_systems(workload, opts.scale);
+            let cfg = telemetry::Config::paper_systems(workload, opts.exec);
             let t = telemetry::run(&cfg, opts.events.is_some(), opts.chrome.is_some(), reporter);
             println!("{}", t.render_summary());
             if let (Some(path), Some(buf)) = (&opts.events, &t.events_jsonl) {
@@ -2015,8 +2005,7 @@ fn main() -> ExitCode {
         };
     }
     let mut opts = Options {
-        scale: RunScale::DEFAULT,
-        threads: parallelism(),
+        exec: ExecConfig { jobs: parallelism(), ..ExecConfig::DEFAULT },
         out: None,
         strict: false,
         workload: None,
@@ -2028,7 +2017,7 @@ fn main() -> ExitCode {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => opts.scale = RunScale::QUICK,
+            "--quick" => opts.exec = ExecConfig { jobs: opts.exec.jobs, ..ExecConfig::QUICK },
             "--strict" => opts.strict = true,
             "--events" => match it.next() {
                 Some(p) => opts.events = Some(PathBuf::from(p)),
@@ -2060,9 +2049,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--full" => opts.scale = RunScale::FULL,
+            "--full" => opts.exec = ExecConfig { jobs: opts.exec.jobs, ..ExecConfig::FULL },
             "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.threads = n,
+                Some(n) => opts.exec.jobs = n,
                 None => {
                     eprintln!("--threads needs a number");
                     return ExitCode::FAILURE;

@@ -8,11 +8,12 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{paper, SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::chart::{AsciiChart, Series};
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, Outcome, RunScale};
+use crate::runner::{run_jobs, Job, Outcome};
 use crate::table::{size_label, TextTable};
 
 /// Parameter space for a Figure 6/7 sweep.
@@ -28,10 +29,8 @@ pub struct Config {
     pub line_pairs: Vec<(u64, u64)>,
     /// L2 sizes per side.
     pub l2_sizes: Vec<u64>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -44,8 +43,7 @@ impl Config {
             l1_sizes: paper::L1_SIZES.to_vec(),
             line_pairs: vec![(16, 32), (32, 64), (64, 128), (128, 128)],
             l2_sizes: paper::L2_SIZES.to_vec(),
-            scale: RunScale::DEFAULT,
-            threads: 1,
+            exec: ExecConfig::DEFAULT,
         }
     }
 
@@ -56,7 +54,7 @@ impl Config {
             l1_sizes: vec![4 << 10, 16 << 10, 64 << 10, 128 << 10],
             line_pairs: vec![(32, 64), (64, 128)],
             l2_sizes: vec![512 << 10, 2 << 20],
-            scale: RunScale::QUICK,
+            exec: ExecConfig::QUICK,
             ..Config::paper(workload)
         }
     }
@@ -104,13 +102,12 @@ pub fn run(config: &Config) -> Result {
                         format!("{system}/{}/{}", size_label(l1), size_label(l2)),
                         sim,
                         config.workload.clone(),
-                        config.scale,
                     ));
                 }
             }
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let points = outcomes
         .iter()
@@ -302,7 +299,7 @@ mod tests {
             l1_sizes: vec![4 << 10, 64 << 10],
             line_pairs: vec![(32, 64)],
             l2_sizes: vec![512 << 10],
-            scale: RunScale { warmup: 5_000, measure: 20_000 },
+            exec: ExecConfig { warmup: 5_000, measure: 20_000, jobs: 1 },
             systems: vec![SystemKind::Ultrix, SystemKind::NoTlb],
             ..Config::paper(presets::ijpeg_spec())
         }
@@ -337,6 +334,6 @@ mod tests {
         let q = Config::quick(presets::gcc_spec());
         let p = Config::paper(presets::gcc_spec());
         assert!(q.l1_sizes.len() < p.l1_sizes.len());
-        assert!(q.scale.measure < p.scale.measure);
+        assert!(q.exec.measure < p.exec.measure);
     }
 }

@@ -7,10 +7,11 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{paper, SimConfig, SystemKind, VmcpiBreakdown};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, RunScale};
+use crate::runner::{run_jobs, Job};
 use crate::table::{size_label, TextTable};
 
 /// Parameter space for a Figure 8/9 breakdown sweep.
@@ -24,10 +25,8 @@ pub struct Config {
     pub l1_sizes: Vec<u64>,
     /// L2 sizes per side.
     pub l2_sizes: Vec<u64>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -39,8 +38,7 @@ impl Config {
             systems: SystemKind::VM_SYSTEMS.to_vec(),
             l1_sizes: paper::L1_SIZES.to_vec(),
             l2_sizes: paper::L2_SIZES.to_vec(),
-            scale: RunScale::DEFAULT,
-            threads: 1,
+            exec: ExecConfig::DEFAULT,
         }
     }
 
@@ -49,7 +47,7 @@ impl Config {
         Config {
             l1_sizes: vec![4 << 10, 32 << 10, 128 << 10],
             l2_sizes: vec![1 << 20],
-            scale: RunScale::QUICK,
+            exec: ExecConfig::QUICK,
             ..Config::paper(workload)
         }
     }
@@ -95,12 +93,11 @@ pub fn run(config: &Config) -> Result {
                     format!("{system}/{}/{}", size_label(l1), size_label(l2)),
                     sim,
                     config.workload.clone(),
-                    config.scale,
                 ));
             }
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let bars = outcomes
         .iter()
@@ -296,7 +293,7 @@ mod tests {
             systems: vec![SystemKind::Ultrix, SystemKind::Intel],
             l1_sizes: vec![8 << 10],
             l2_sizes: vec![512 << 10],
-            scale: RunScale { warmup: 5_000, measure: 30_000 },
+            exec: ExecConfig { warmup: 5_000, measure: 30_000, jobs: 1 },
             ..Config::paper(presets::gcc_spec())
         }
     }

@@ -10,10 +10,11 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{paper, SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, Outcome, RunScale};
+use crate::runner::{run_jobs, Job, Outcome};
 use crate::table::TextTable;
 
 /// Parameter space for the interrupt-cost experiment.
@@ -25,10 +26,8 @@ pub struct Config {
     pub systems: Vec<SystemKind>,
     /// Interrupt costs to price (Table 1: 10/50/200).
     pub interrupt_costs: Vec<u64>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -39,8 +38,7 @@ impl Config {
             workloads,
             systems: SystemKind::VM_SYSTEMS.to_vec(),
             interrupt_costs: paper::INTERRUPT_COSTS.to_vec(),
-            scale: RunScale::DEFAULT,
-            threads: 1,
+            exec: ExecConfig::DEFAULT,
         }
     }
 }
@@ -78,11 +76,10 @@ pub fn run(config: &Config) -> Result {
                 format!("{system}/{}", workload.name),
                 SimConfig::paper_default(system),
                 workload.clone(),
-                config.scale,
             ));
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let rows = outcomes
         .iter()
         .map(|o: &Outcome| {
@@ -210,7 +207,7 @@ mod tests {
         Config {
             workloads: vec![presets::gcc_spec()],
             systems: vec![SystemKind::Ultrix, SystemKind::Intel],
-            scale: RunScale { warmup: 10_000, measure: 60_000 },
+            exec: ExecConfig { warmup: 10_000, measure: 60_000, jobs: 1 },
             ..Config::paper(vec![])
         }
     }

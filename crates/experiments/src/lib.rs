@@ -5,7 +5,8 @@
 //! Each experiment module exposes
 //!
 //! * a `Config` describing the swept parameter space (defaulting to the
-//!   paper's Table 1 values, scaled per [`RunScale`]),
+//!   paper's Table 1 values, run at the lengths and worker count of an
+//!   [`ExecConfig`]),
 //! * a `run` function that executes the sweep and returns a typed result,
 //! * a rendering of the result as the paper's rows/series
 //!   ([`TextTable`]), and
@@ -58,8 +59,7 @@ mod runner;
 mod table;
 
 pub use claim::Claim;
-// The reporter moved to `vm-obs` so lower layers (the `vm-explore` sweep
-// executor) can heartbeat through it; re-exported here for continuity.
-pub use runner::{run_jobs, run_jobs_checked, run_jobs_reported, Job, Outcome, RunScale};
+pub use runner::{run_jobs, Job, Outcome};
 pub use table::TextTable;
+pub use vm_explore::ExecConfig;
 pub use vm_obs::{set_global_verbosity, Reporter, Verbosity};

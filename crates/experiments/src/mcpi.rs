@@ -13,10 +13,11 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{McpiBreakdown, SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, RunScale};
+use crate::runner::{run_jobs, Job};
 use crate::table::TextTable;
 
 /// Parameter space for the inflicted-MCPI experiment.
@@ -26,21 +27,14 @@ pub struct Config {
     pub workloads: Vec<WorkloadSpec>,
     /// VM systems to compare against BASE (BASE is added automatically).
     pub systems: Vec<SystemKind>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
     /// All five VM systems on the given workloads.
     pub fn paper(workloads: Vec<WorkloadSpec>) -> Config {
-        Config {
-            workloads,
-            systems: SystemKind::VM_SYSTEMS.to_vec(),
-            scale: RunScale::DEFAULT,
-            threads: 1,
-        }
+        Config { workloads, systems: SystemKind::VM_SYSTEMS.to_vec(), exec: ExecConfig::DEFAULT }
     }
 }
 
@@ -82,18 +76,16 @@ pub fn run(config: &Config) -> Result {
             format!("BASE/{}", workload.name),
             SimConfig::paper_default(SystemKind::Base),
             workload.clone(),
-            config.scale,
         ));
         for &system in &config.systems {
             jobs.push(Job::new(
                 format!("{system}/{}", workload.name),
                 SimConfig::paper_default(system),
                 workload.clone(),
-                config.scale,
             ));
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let mut rows = Vec::new();
     let mut base = 0.0;
@@ -213,8 +205,7 @@ mod tests {
         Config {
             workloads: vec![presets::gcc_spec()],
             systems: vec![SystemKind::Ultrix, SystemKind::Intel],
-            scale: RunScale { warmup: 20_000, measure: 100_000 },
-            threads: 1,
+            exec: ExecConfig { warmup: 20_000, measure: 100_000, jobs: 1 },
         }
     }
 

@@ -15,10 +15,10 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{simulate, AsidMode, SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::{Multiprogram, WorkloadSpec};
 
 use crate::claim::Claim;
-use crate::runner::RunScale;
 use crate::table::TextTable;
 
 /// Parameter space for the multiprogramming experiment.
@@ -30,8 +30,8 @@ pub struct Config {
     pub quanta: Vec<u64>,
     /// Systems to measure (TLB-based ones; others see no difference).
     pub systems: Vec<SystemKind>,
-    /// Run lengths.
-    pub scale: RunScale,
+    /// Run lengths (`jobs` is not read: cells run one at a time).
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -41,7 +41,7 @@ impl Config {
             mix,
             quanta: vec![500_000, 100_000, 20_000],
             systems: vec![SystemKind::Ultrix, SystemKind::Intel],
-            scale: RunScale::DEFAULT,
+            exec: ExecConfig::DEFAULT,
         }
     }
 }
@@ -88,7 +88,7 @@ pub fn run(config: &Config) -> Result {
                     .expect("experiment mixes use validated presets");
                 let mut sim = SimConfig::paper_default(system);
                 sim.asid_mode = mode;
-                let report = simulate(&sim, trace, config.scale.warmup, config.scale.measure)
+                let report = simulate(&sim, trace, config.exec.warmup, config.exec.measure)
                     .expect("paper defaults always build");
                 rows.push(Row {
                     system,
@@ -217,7 +217,7 @@ mod tests {
             mix: vec![presets::ijpeg_spec(), presets::compress_spec()],
             quanta: vec![5_000, 50_000],
             systems: vec![SystemKind::Ultrix],
-            scale: RunScale { warmup: 30_000, measure: 150_000 },
+            exec: ExecConfig { warmup: 30_000, measure: 150_000, jobs: 1 },
         }
     }
 

@@ -11,10 +11,11 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, RunScale};
+use crate::runner::{run_jobs, Job};
 use crate::table::TextTable;
 
 /// Parameter space for the suite sweep.
@@ -26,10 +27,8 @@ pub struct Config {
     pub systems: Vec<SystemKind>,
     /// Trace seeds to replicate over.
     pub seeds: Vec<u64>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -39,8 +38,7 @@ impl Config {
             workloads,
             systems: SystemKind::VM_SYSTEMS.to_vec(),
             seeds: vec![42, 1, 7],
-            scale: RunScale::DEFAULT,
-            threads: 1,
+            exec: ExecConfig::DEFAULT,
         }
     }
 }
@@ -87,14 +85,13 @@ pub fn run(config: &Config) -> Result {
                     format!("{system}/{}/{seed}", workload.name),
                     SimConfig::paper_default(system),
                     workload.clone(),
-                    config.scale,
                 );
                 job.trace_seed = seed;
                 jobs.push(job);
             }
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let mut cells = Vec::new();
     // Jobs are emitted seeds-innermost, so consecutive `seeds.len()`-sized
@@ -230,8 +227,7 @@ mod tests {
             workloads: vec![presets::ijpeg_spec()],
             systems: vec![SystemKind::Ultrix, SystemKind::Intel],
             seeds: vec![1, 2],
-            scale: RunScale { warmup: 10_000, measure: 40_000 },
-            threads: 1,
+            exec: ExecConfig { warmup: 10_000, measure: 40_000, jobs: 1 },
         }
     }
 

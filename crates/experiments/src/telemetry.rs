@@ -10,11 +10,11 @@
 use std::time::Instant;
 
 use vm_core::{SimConfig, SimReport, SystemKind};
+use vm_explore::ExecConfig;
 use vm_obs::json::Value;
 use vm_obs::{summary_line, ChromeTraceSink, JsonlSink, ObsSnapshot, Sink, StatsSink, Tee};
 use vm_trace::WorkloadSpec;
 
-use crate::runner::RunScale;
 use crate::TextTable;
 use vm_obs::Reporter;
 
@@ -47,24 +47,29 @@ pub struct Config {
     pub workload: WorkloadSpec,
     /// Workload generator seed.
     pub seed: u64,
-    /// Run lengths.
-    pub scale: RunScale,
+    /// Run lengths (`jobs` is not read: cells run one at a time).
+    pub exec: ExecConfig,
 }
 
 impl Config {
     /// The paper's six systems (Table 1) against `workload`.
-    pub fn paper_systems(workload: WorkloadSpec, scale: RunScale) -> Config {
+    pub fn paper_systems(workload: WorkloadSpec, exec: ExecConfig) -> Config {
         Config {
             configs: SystemKind::PAPER.into_iter().map(SimConfig::paper_default).collect(),
             workload,
             seed: 1,
-            scale,
+            exec,
         }
     }
 
     /// A single custom configuration (the `repro run` subcommand).
-    pub fn single(config: SimConfig, workload: WorkloadSpec, seed: u64, scale: RunScale) -> Config {
-        Config { configs: vec![config], workload, seed, scale }
+    pub fn single(
+        config: SimConfig,
+        workload: WorkloadSpec,
+        seed: u64,
+        exec: ExecConfig,
+    ) -> Config {
+        Config { configs: vec![config], workload, seed, exec }
     }
 }
 
@@ -115,7 +120,7 @@ pub fn run(cfg: &Config, want_events: bool, want_chrome: bool, reporter: &Report
         let mut trace =
             cfg.workload.build(cfg.seed).unwrap_or_else(|e| panic!("telemetry workload: {e}"));
         // Warm up at full speed, un-instrumented.
-        system.run(&mut trace, cfg.scale.warmup);
+        system.run(&mut trace, cfg.exec.warmup);
 
         // Attach the full stack for the measurement phase. Disabled
         // streams still type-check as sinks but skip all I/O.
@@ -132,7 +137,7 @@ pub fn run(cfg: &Config, want_events: bool, want_chrome: bool, reporter: &Report
         let sink = Tee(StatsSink::default(), Tee(jsonl, Shift { base, inner: chrome.as_mut() }));
         let mut system = system.with_sink(sink);
         system.reset_counters();
-        system.run(&mut trace, cfg.scale.measure);
+        system.run(&mut trace, cfg.exec.measure);
         let report = system.report();
         let Tee(stats, Tee(jsonl, _)) = system.into_sink();
 
@@ -220,7 +225,7 @@ mod tests {
     fn tiny() -> Config {
         let mut cfg = Config::paper_systems(
             presets::ijpeg_spec(),
-            RunScale { warmup: 2_000, measure: 20_000 },
+            ExecConfig { warmup: 2_000, measure: 20_000, jobs: 1 },
         );
         cfg.configs.truncate(2); // ULTRIX + MACH keep the test fast
         cfg

@@ -7,10 +7,11 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, RunScale};
+use crate::runner::{run_jobs, Job};
 use crate::table::TextTable;
 
 /// Parameter space for the TLB-size sweep.
@@ -22,10 +23,8 @@ pub struct Config {
     pub systems: Vec<SystemKind>,
     /// TLB entry counts to sweep.
     pub entries: Vec<usize>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -40,8 +39,7 @@ impl Config {
                 SystemKind::PaRisc,
             ],
             entries: vec![16, 32, 64, 128, 256, 512],
-            scale: RunScale::DEFAULT,
-            threads: 1,
+            exec: ExecConfig::DEFAULT,
         }
     }
 }
@@ -80,12 +78,11 @@ pub fn run(config: &Config) -> Result {
                     format!("{system}/{}/{entries}", workload.name),
                     sim,
                     workload.clone(),
-                    config.scale,
                 ));
             }
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let points = outcomes
         .iter()
@@ -200,8 +197,7 @@ mod tests {
             workloads: vec![presets::gcc_spec()],
             systems: vec![SystemKind::Ultrix],
             entries: vec![16, 128],
-            scale: RunScale { warmup: 20_000, measure: 100_000 },
-            threads: 1,
+            exec: ExecConfig { warmup: 20_000, measure: 100_000, jobs: 1 },
         }
     }
 

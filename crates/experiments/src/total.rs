@@ -8,10 +8,11 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{paper, SimConfig, SystemKind};
+use vm_explore::ExecConfig;
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, RunScale};
+use crate::runner::{run_jobs, Job};
 use crate::table::TextTable;
 
 /// Parameter space for the total-overhead experiment.
@@ -23,10 +24,8 @@ pub struct Config {
     pub systems: Vec<SystemKind>,
     /// Interrupt costs for the third view.
     pub interrupt_costs: Vec<u64>,
-    /// Run lengths.
-    pub scale: RunScale,
-    /// Worker threads.
-    pub threads: usize,
+    /// Run lengths and worker threads.
+    pub exec: ExecConfig,
 }
 
 impl Config {
@@ -36,8 +35,7 @@ impl Config {
             workloads,
             systems: SystemKind::VM_SYSTEMS.to_vec(),
             interrupt_costs: paper::INTERRUPT_COSTS.to_vec(),
-            scale: RunScale::DEFAULT,
-            threads: 1,
+            exec: ExecConfig::DEFAULT,
         }
     }
 }
@@ -76,18 +74,16 @@ pub fn run(config: &Config) -> Result {
             format!("BASE/{}", workload.name),
             SimConfig::paper_default(SystemKind::Base),
             workload.clone(),
-            config.scale,
         ));
         for &system in &config.systems {
             jobs.push(Job::new(
                 format!("{system}/{}", workload.name),
                 SimConfig::paper_default(system),
                 workload.clone(),
-                config.scale,
             ));
         }
     }
-    let outcomes = run_jobs(jobs, config.threads);
+    let outcomes = run_jobs(jobs, &config.exec);
     let cost = CostModel::default();
     let mut rows = Vec::new();
     let mut base_cpi = 1.0;
@@ -237,8 +233,7 @@ mod tests {
             workloads: vec![presets::gcc_spec()],
             systems: vec![SystemKind::Ultrix],
             interrupt_costs: vec![10, 200],
-            scale: RunScale { warmup: 20_000, measure: 100_000 },
-            threads: 1,
+            exec: ExecConfig { warmup: 20_000, measure: 100_000, jobs: 1 },
         }
     }
 

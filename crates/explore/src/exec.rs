@@ -26,7 +26,9 @@
 //! run journal for crash-safe resume, and a [`ChaosPlan`] can inject
 //! faults to prove all of it works. [`run_sweep`] is the strict facade:
 //! same machinery, but any failure is a panic (for callers that treat
-//! the plan as pre-validated).
+//! the plan as pre-validated). [`run_reports`] runs bare points (the
+//! paper figures' grids) on the same lanes and pool and returns their raw
+//! reports.
 //!
 //! Progress goes through the `vm-obs` [`Reporter`] (a heartbeat line
 //! roughly every two seconds, per-point completions at Verbose), and the
@@ -70,10 +72,17 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default experiment scale (matches the runner's default).
+    /// The default experiment scale.
+    ///
+    /// The paper ran ≤200 M instructions per point; cache/TLB behaviour
+    /// stabilizes far earlier for the megabyte-scale working sets
+    /// simulated here, so the default measures 2 M instructions after a
+    /// 1 M warm-up.
     pub const DEFAULT: ExecConfig = ExecConfig { warmup: 1_000_000, measure: 2_000_000, jobs: 1 };
     /// Fast smoke-test scale.
     pub const QUICK: ExecConfig = ExecConfig { warmup: 200_000, measure: 500_000, jobs: 1 };
+    /// High-fidelity scale for final numbers.
+    pub const FULL: ExecConfig = ExecConfig { warmup: 2_000_000, measure: 8_000_000, jobs: 1 };
 }
 
 impl Default for ExecConfig {
@@ -267,6 +276,44 @@ pub fn run_sweep<S: Sink>(
         .collect()
 }
 
+/// Simulates `points` on the sweep's lanes and worker pool, returning
+/// each point's report in slice order.
+///
+/// This is the bare path under [`run_sweep`]: nothing is retried,
+/// budgeted, chaos-wrapped, sealed or journaled. A point's simulator is
+/// built from its `config` as given, so it may carry settings no spec
+/// key reaches; of its `spec` only the workload and trace seed are read,
+/// and they pick its lane. `label` and `settings` name the point in
+/// progress lines and errors; `index` is not read.
+///
+/// A point that fails (a config the simulator rejects, a workload that
+/// is not a preset, a panic) fails alone; the others still run.
+pub fn run_reports(
+    points: &[PlannedPoint],
+    exec: &ExecConfig,
+    reporter: &Reporter,
+) -> Vec<Result<SimReport, SimError>> {
+    let policy = HardenPolicy::default();
+    let all: Vec<usize> = (0..points.len()).collect();
+    let slots: Vec<Mutex<Option<Result<SimReport, SimError>>>> =
+        points.iter().map(|_| Mutex::new(None)).collect();
+    let lanes = plan_lanes(points, &all, exec.jobs.max(1), &policy);
+    let progress = LaneProgress::new(reporter, "sweep", points.len(), exec);
+    drive_lanes(&lanes, exec.jobs, &progress, |lane| {
+        let t0 = Instant::now();
+        let members: Vec<&PlannedPoint> = lane.iter().map(|&ix| &points[ix]).collect();
+        for (&ix, report) in lane.iter().zip(step_lane(&members, exec, &policy, |_| NopSink)) {
+            let status = if report.is_ok() { "done" } else { "FAILED" };
+            progress.finished(&points[ix].label, status, t0);
+            *lock_slot(&slots[ix]) = Some(report);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()).expect("every point ran"))
+        .collect()
+}
+
 /// Runs `plan` with per-point fault isolation, returning one
 /// [`SweepPointOutcome`] per point in point order.
 ///
@@ -451,9 +498,8 @@ fn plan_lanes(
     lanes
 }
 
-/// Simulates the `pending` points of `plan` over the work-stealing
-/// worker pool, one lane at a time, storing `(outcome, attempts)` into
-/// `slots`.
+/// Simulates the `pending` points of `plan` over the lane pool,
+/// storing `(outcome, attempts)` into `slots`.
 #[allow(clippy::too_many_arguments)]
 fn run_pending(
     points: &[PlannedPoint],
@@ -466,118 +512,157 @@ fn run_pending(
     sink_enabled: bool,
 ) {
     let lanes = plan_lanes(points, pending, exec.jobs.max(1), policy);
-    let jobs = exec.jobs.max(1).min(lanes.len());
-    let planned_instrs = (exec.warmup + exec.measure) * pending.len() as u64;
-
-    // Round-robin deal of lanes into per-worker deques; idle workers
-    // steal from the back of the fullest queue.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|w| Mutex::new((w..lanes.len()).step_by(jobs).collect())).collect();
-    let done = AtomicUsize::new(0);
-    let consumed = AtomicU64::new(0);
-    let heartbeat = Heartbeat::new();
-    let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(jobs);
-        for w in 0..jobs {
-            let queues = &queues;
-            let lanes = &lanes;
-            let done = &done;
-            let consumed = &consumed;
-            workers.push(scope.spawn(move || {
-                // Expected unwinds (chaos, deadlines, corrupt records)
-                // are caught and classified; keep the hook from spraying
-                // a backtrace banner per isolated failure.
-                let _quiet = quiet_panics();
-                // Deterministic per-worker stream; only steers which
-                // victim is probed first, never anything a result
-                // depends on.
-                let mut rng = SplitMix64::new(steal_seed(w));
-                while let Some(lane_ix) = next_lane(w, queues, &mut rng) {
-                    let lane = &lanes[lane_ix];
-                    if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        // Drain without simulating or journaling: the
-                        // missing journal entry is what makes a resume
-                        // re-run the point.
-                        for &ix in lane {
-                            let e = point_error(
-                                &points[ix],
-                                FailureKind::Cancelled,
-                                "sweep cancelled before this point ran",
-                            );
-                            *lock_slot(&slots[ix]) = Some((PointOutcome::Failed(e), 1));
-                            if let Some(progress) = &policy.progress {
-                                progress.observer.point_finished(ix, false);
-                            }
-                        }
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let members: Vec<&PlannedPoint> = lane.iter().map(|&ix| &points[ix]).collect();
-                    let outcomes = measure_lane(&members, exec, policy);
-                    for (&ix, (outcome, tries)) in lane.iter().zip(outcomes) {
-                        let point = &points[ix];
-                        if let Some(journal) = journal {
-                            let entry = JournalEntry::from_outcome(
-                                ix as u64,
-                                &point.label,
-                                &outcome,
-                                tries,
-                                result_to_value,
-                            );
-                            lock_slot(journal).record(&entry);
-                        }
-                        consumed.fetch_add(exec.warmup + exec.measure, Ordering::Relaxed);
-                        let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        reporter.detail(format!(
-                            "  [explore] {k}/{} `{}` {} in {:.2}s",
-                            pending.len(),
-                            point.label,
-                            outcome.status_label(),
-                            t0.elapsed().as_secs_f64()
-                        ));
-                        let ok = matches!(outcome, PointOutcome::Completed(_));
-                        *lock_slot(&slots[ix]) = Some((outcome, tries));
-                        if let Some(progress) = &policy.progress {
-                            progress.observer.point_finished(ix, ok);
-                            // Deliver supervision telemetry (crashes,
-                            // restarts, breaker trips) live, per point,
-                            // rather than only at sweep teardown. When a
-                            // recording sink is attached it keeps its
-                            // deterministic teardown drain instead.
-                            if !sink_enabled {
-                                if let Some(pool) = &policy.process {
-                                    for ev in pool.take_events() {
-                                        progress.observer.pool_event(&ev);
-                                    }
-                                }
-                            }
+    let progress = LaneProgress::new(reporter, "explore", pending.len(), exec);
+    drive_lanes(&lanes, exec.jobs, &progress, |lane| {
+        if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+            // Drain without simulating or journaling: the missing
+            // journal entry is what makes a resume re-run the point.
+            for &ix in lane {
+                let e = point_error(
+                    &points[ix],
+                    FailureKind::Cancelled,
+                    "sweep cancelled before this point ran",
+                );
+                *lock_slot(&slots[ix]) = Some((PointOutcome::Failed(e), 1));
+                if let Some(progress) = &policy.progress {
+                    progress.observer.point_finished(ix, false);
+                }
+            }
+            return;
+        }
+        let t0 = Instant::now();
+        let members: Vec<&PlannedPoint> = lane.iter().map(|&ix| &points[ix]).collect();
+        let outcomes = measure_lane(&members, exec, policy);
+        for (&ix, (outcome, tries)) in lane.iter().zip(outcomes) {
+            let point = &points[ix];
+            if let Some(journal) = journal {
+                let entry = JournalEntry::from_outcome(
+                    ix as u64,
+                    &point.label,
+                    &outcome,
+                    tries,
+                    result_to_value,
+                );
+                lock_slot(journal).record(&entry);
+            }
+            progress.finished(&point.label, outcome.status_label(), t0);
+            let ok = matches!(outcome, PointOutcome::Completed(_));
+            *lock_slot(&slots[ix]) = Some((outcome, tries));
+            if let Some(progress) = &policy.progress {
+                progress.observer.point_finished(ix, ok);
+                // Deliver supervision telemetry (crashes, restarts,
+                // breaker trips) live, per point, rather than only at
+                // sweep teardown. When a recording sink is attached it
+                // keeps its deterministic teardown drain instead.
+                if !sink_enabled {
+                    if let Some(pool) = &policy.process {
+                        for ev in pool.take_events() {
+                            progress.observer.pool_event(&ev);
                         }
                     }
                 }
-            }));
+            }
         }
-        // Heartbeat: silent for short sweeps, periodic progress for long
-        // ones, same cadence as the experiment runner.
-        scope.spawn(|| {
-            heartbeat.run(Duration::from_secs(2), || {
-                let instrs = consumed.load(Ordering::Relaxed);
-                let elapsed = started.elapsed().as_secs_f64();
-                reporter.heartbeat(format!(
-                    "  [explore] {}/{} points ({:.0}% of planned instrs) at {:.1}M instrs/s",
-                    done.load(Ordering::Relaxed),
-                    pending.len(),
-                    100.0 * instrs as f64 / planned_instrs.max(1) as f64,
-                    instrs as f64 / elapsed.max(1e-9) / 1e6,
-                ));
+    });
+}
+
+/// Points finished and instructions simulated by a lane pool, for its
+/// per-point lines (Verbose) and its heartbeat.
+struct LaneProgress<'a> {
+    reporter: &'a Reporter,
+    /// Names the pool in every line (`[explore]`, `[sweep]`).
+    tag: &'a str,
+    /// Points the pool will finish.
+    points: usize,
+    /// Instructions one point simulates.
+    per_point: u64,
+    done: AtomicUsize,
+    consumed: AtomicU64,
+}
+
+impl<'a> LaneProgress<'a> {
+    fn new(reporter: &'a Reporter, tag: &'a str, points: usize, exec: &ExecConfig) -> Self {
+        LaneProgress {
+            reporter,
+            tag,
+            points,
+            per_point: exec.warmup + exec.measure,
+            done: AtomicUsize::new(0),
+            consumed: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts one finished point of a lane that started at `t0`.
+    fn finished(&self, label: &str, status: &str, t0: Instant) {
+        self.consumed.fetch_add(self.per_point, Ordering::Relaxed);
+        let k = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        self.reporter.detail(format!(
+            "  [{}] {k}/{} `{label}` {status} in {:.2}s",
+            self.tag,
+            self.points,
+            t0.elapsed().as_secs_f64()
+        ));
+    }
+
+    /// One heartbeat line for a pool that started at `started`.
+    fn beat(&self, started: Instant) {
+        let instrs = self.consumed.load(Ordering::Relaxed);
+        let planned = self.per_point * self.points as u64;
+        self.reporter.heartbeat(format!(
+            "  [{}] {}/{} points ({:.0}% of planned instrs) at {:.1}M instrs/s",
+            self.tag,
+            self.done.load(Ordering::Relaxed),
+            self.points,
+            100.0 * instrs as f64 / planned.max(1) as f64,
+            instrs as f64 / started.elapsed().as_secs_f64().max(1e-9) / 1e6,
+        ));
+    }
+}
+
+/// Runs `run` once per lane on up to `jobs` workers (never more than
+/// there are lanes), with a heartbeat line from `progress` roughly
+/// every two seconds; silent for short runs.
+///
+/// Lanes are dealt round-robin into per-worker deques; a worker that
+/// drains its own steals from the back of the fullest other deque.
+/// Workers quiet the panic hook, since `run` catches and classifies
+/// the unwinds it expects. A panic that escapes `run` is an
+/// infrastructure bug and is resumed here once every worker has
+/// stopped.
+fn drive_lanes(
+    lanes: &[Vec<usize>],
+    jobs: usize,
+    progress: &LaneProgress<'_>,
+    run: impl Fn(&[usize]) + Sync,
+) {
+    if lanes.is_empty() {
+        return;
+    }
+    let jobs = jobs.clamp(1, lanes.len());
+    let queues: Vec<Mutex<VecDeque<usize>>> =
+        (0..jobs).map(|w| Mutex::new((w..lanes.len()).step_by(jobs).collect())).collect();
+    let heartbeat = Heartbeat::new();
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|w| {
+                let (queues, run) = (&queues, &run);
+                scope.spawn(move || {
+                    let _quiet = quiet_panics();
+                    // Deterministic per-worker stream; only steers which
+                    // victim is probed first, never anything a result
+                    // depends on.
+                    let mut rng = SplitMix64::new(steal_seed(w));
+                    while let Some(lane_ix) = next_lane(w, queues, &mut rng) {
+                        run(&lanes[lane_ix]);
+                    }
+                })
             })
-        });
+            .collect();
+        scope.spawn(|| heartbeat.run(Duration::from_secs(2), || progress.beat(started)));
         let worker_panic = workers.into_iter().find_map(|h| h.join().err());
         heartbeat.finish();
         if let Some(payload) = worker_panic {
-            // Only infrastructure bugs reach here — point panics are
-            // caught and classified inside measure_lane.
             std::panic::resume_unwind(payload);
         }
     });
@@ -727,12 +812,12 @@ impl Iterator for LaneTrace {
     }
 }
 
-/// Resolves a point's workload into a record source and display label;
-/// a failure is `(kind, detail)`, for every member of the lane to carry.
+/// Resolves a point's workload into a record source; a failure is
+/// `(kind, detail)`, for every member of the lane to carry.
 fn lane_trace(
     point: &PlannedPoint,
     policy: &HardenPolicy,
-) -> Result<(String, LaneTrace), (FailureKind, String)> {
+) -> Result<LaneTrace, (FailureKind, String)> {
     let name = point.spec.workload_name();
     if let Some(trace_name) = vm_trace::trace_workload(name) {
         let library = policy
@@ -742,7 +827,7 @@ fn lane_trace(
             .or_else(vm_trace::TraceLibrary::from_env)
             .ok_or_else(|| (FailureKind::Ingest, vm_trace::LibraryError::NoLibrary.to_string()))?;
         let records = library.load(trace_name).map_err(|e| (FailureKind::Ingest, e.to_string()))?;
-        Ok((name.to_owned(), LaneTrace::Replay(records.into_iter())))
+        Ok(LaneTrace::Replay(records.into_iter()))
     } else {
         let workload = vm_trace::presets::by_name(name).ok_or_else(|| {
             (FailureKind::Workload, "workload vanished after validation".to_owned())
@@ -750,21 +835,21 @@ fn lane_trace(
         let trace = workload
             .build(point.spec.trace_seed)
             .map_err(|e| (FailureKind::Workload, e.to_string()))?;
-        Ok((workload.name, LaneTrace::Synth(Box::new(trace))))
+        Ok(LaneTrace::Synth(Box::new(trace)))
     }
 }
 
-/// One pass of a lane: every member's first attempt, in lane order.
-/// Picks the members' event sink from the policy (none, a walk-cycle
-/// deadline, live snapshots, or both); sinks are observers, so the
-/// measured results are bit-identical under each.
+/// One pass of a lane: every member's first attempt, in lane order,
+/// as a sealed result row. Picks the members' event sink from the
+/// policy (none, a walk-cycle deadline, live snapshots, or both); sinks
+/// are observers, so the measured results are bit-identical under each.
 fn run_lane(
     lane: &[&PlannedPoint],
     exec: &ExecConfig,
     policy: &HardenPolicy,
 ) -> Vec<Result<PointResult, SimError>> {
     let horizon = exec.warmup + exec.measure;
-    match (&policy.progress, policy.point_budget) {
+    let reports = match (&policy.progress, policy.point_budget) {
         (None, None) => step_lane(lane, exec, policy, |_| NopSink),
         (None, Some(budget)) => step_lane(lane, exec, policy, |_| DeadlineSink::new(budget)),
         (Some(progress), None) => {
@@ -773,7 +858,11 @@ fn run_lane(
         (Some(progress), Some(budget)) => step_lane(lane, exec, policy, |point| {
             Tee(DeadlineSink::new(budget), snapshot_sink(progress, point, horizon))
         }),
-    }
+    };
+    lane.iter()
+        .zip(reports)
+        .map(|(point, report)| report.map(|report| finish_point(point, report, policy, exec)))
+        .collect()
 }
 
 /// A sink firing the sweep observer's checkpoints for `point`.
@@ -797,19 +886,20 @@ fn snapshot_sink<'a>(
 /// blown deadline fails only that member. A fault in the stream itself
 /// (a panicking source, a corrupt record) fails the members still live
 /// once the records before it have been stepped, exactly where a
-/// per-point run would have failed.
+/// per-point run would have failed. Returns each member's report in
+/// lane order.
 fn step_lane<'p, S: Sink>(
     lane: &[&'p PlannedPoint],
     exec: &ExecConfig,
     policy: &HardenPolicy,
     make_sink: impl Fn(&'p PlannedPoint) -> S,
-) -> Vec<Result<PointResult, SimError>> {
+) -> Vec<Result<SimReport, SimError>> {
     debug_assert!(
         lane.len() == 1 || lane.iter().all(|p| policy.chaos.fault_for(p.index).is_none()),
         "chaos points run as width-1 lanes"
     );
     let horizon = exec.warmup + exec.measure;
-    let (workload, trace) = match lane_trace(lane[0], policy) {
+    let trace = match lane_trace(lane[0], policy) {
         Ok(resolved) => resolved,
         Err((kind, detail)) => {
             return lane.iter().map(|p| Err(point_error(p, kind, detail.clone()))).collect();
@@ -878,15 +968,16 @@ fn step_lane<'p, S: Sink>(
         }
     }
 
-    lane.iter()
-        .zip(systems.into_iter().zip(failed))
-        .map(|(point, (system, failed))| match (system, failed) {
+    systems
+        .into_iter()
+        .zip(failed)
+        .map(|(system, failed)| match (system, failed) {
             (Some(mut system), _) => {
                 // A stream shorter than the warm-up still ends it.
                 if !warmed {
                     system.reset_counters();
                 }
-                Ok(finish_point(point, workload.clone(), system.report(), policy, exec))
+                Ok(system.report())
             }
             (None, failed) => Err(failed.expect("a member without a system has failed")),
         })
@@ -902,12 +993,11 @@ fn panic_error(point: &PlannedPoint, payload: Box<dyn std::any::Any + Send>) -> 
 /// Derives, (maybe) perturbs and seals a finished member's result row.
 fn finish_point(
     point: &PlannedPoint,
-    workload: String,
     report: SimReport,
     policy: &HardenPolicy,
     exec: &ExecConfig,
 ) -> PointResult {
-    let mut result = result_row(point, workload, report);
+    let mut result = result_row(point, report);
     if policy.chaos.fault_for(point.index) == Some(Fault::Lie) {
         // The Byzantine chaos fault: an honest simulation, then one ulp
         // of corruption — applied BEFORE signing, so the lie leaves here
@@ -921,7 +1011,7 @@ fn finish_point(
 }
 
 /// Derives a result row from a point's finished simulation.
-fn result_row(point: &PlannedPoint, workload: String, report: SimReport) -> PointResult {
+fn result_row(point: &PlannedPoint, report: SimReport) -> PointResult {
     let cost = CostModel::paper(point.spec.interrupt_cycles);
     let vmcpi = report.vmcpi(&cost).total();
     let interrupt_cpi = report.interrupt_cpi(&cost);
@@ -932,7 +1022,7 @@ fn result_row(point: &PlannedPoint, workload: String, report: SimReport) -> Poin
         label: point.label.clone(),
         settings: point.settings.clone(),
         system: point.config.system.label().to_owned(),
-        workload,
+        workload: point.spec.workload_name().to_owned(),
         vmcpi,
         interrupt_cpi,
         mcpi: report.mcpi(&cost).total(),
@@ -1068,6 +1158,13 @@ mod tests {
                 assert!(pair[1].2 > pair[0].2);
             }
         }
+    }
+
+    #[test]
+    fn scales_are_ordered() {
+        let scales = [ExecConfig::QUICK, ExecConfig::DEFAULT, ExecConfig::FULL];
+        assert!(scales.windows(2).all(|w| w[0].measure < w[1].measure));
+        assert_eq!(ExecConfig::default(), ExecConfig::DEFAULT);
     }
 
     #[test]
@@ -1367,15 +1464,14 @@ mod tests {
         point: &PlannedPoint,
         exec: &ExecConfig,
         records: impl IntoIterator<Item = vm_trace::InstrRecord>,
-        workload: &str,
     ) -> PointResult {
         let report = vm_core::simulate(&point.config, records, exec.warmup, exec.measure).unwrap();
-        finish_point(point, workload.to_owned(), report, &HardenPolicy::default(), exec)
+        finish_point(point, report, &HardenPolicy::default(), exec)
     }
 
     fn direct_preset(point: &PlannedPoint, exec: &ExecConfig) -> PointResult {
         let preset = vm_trace::presets::by_name(point.spec.workload_name()).unwrap();
-        direct(point, exec, preset.build(point.spec.trace_seed).unwrap(), &preset.name)
+        direct(point, exec, preset.build(point.spec.trace_seed).unwrap())
     }
 
     fn hardened(plan: &SweepPlan, exec: &ExecConfig, policy: &HardenPolicy) -> SweepOutcome {
@@ -1491,7 +1587,10 @@ mod tests {
                     assert_eq!(e.kind, FailureKind::Panic);
                     assert!(e.detail.contains("tripwire"), "{e}");
                 }
-                Ok(r) => assert_eq!(r, &direct_preset(point, &LANE_EXEC)),
+                Ok(report) => assert_eq!(
+                    finish_point(point, report.clone(), &policy, &LANE_EXEC),
+                    direct_preset(point, &LANE_EXEC)
+                ),
             }
         }
         assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
@@ -1524,6 +1623,36 @@ mod tests {
             }
         }
         assert!(out.iter().any(Result::is_ok) && out.iter().any(Result::is_err));
+    }
+
+    #[test]
+    fn bare_reports_build_each_point_from_its_own_config() {
+        // Knobs no spec key reaches still reach the simulator, and a
+        // point the simulator rejects fails alone.
+        let mut points = grid_plan().points;
+        points[1].config.flush_tlb_every = Some(3_000);
+        points[2].config.tlb_protected = Some(0);
+        points[7].config.l1_line = 3;
+        let direct = |point: &PlannedPoint| {
+            let trace = vm_trace::presets::by_name(point.spec.workload_name())
+                .unwrap()
+                .build(point.spec.trace_seed)
+                .unwrap();
+            vm_core::simulate(&point.config, trace, LANE_EXEC.warmup, LANE_EXEC.measure)
+        };
+        for jobs in [1, 2] {
+            let exec = ExecConfig { jobs, ..LANE_EXEC };
+            let out = run_reports(&points, &exec, &Reporter::silent());
+            assert_eq!(out.len(), points.len());
+            for (point, got) in points.iter().zip(&out) {
+                match direct(point) {
+                    Ok(want) => assert_eq!(got.as_ref().unwrap().to_json(), want.to_json()),
+                    Err(_) => assert_eq!(got.as_ref().unwrap_err().kind, FailureKind::Build),
+                }
+            }
+            assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1, "jobs={jobs}");
+        }
+        assert!(run_reports(&[], &LANE_EXEC, &Reporter::silent()).is_empty());
     }
 
     #[test]
@@ -1590,7 +1719,7 @@ mod tests {
             let exec = ExecConfig { warmup, measure, jobs: 2 };
             let out = hardened(&plan, &exec, &policy);
             for (point, got) in plan.points.iter().zip(&out.outcomes) {
-                let want = direct(point, &exec, records.iter().copied(), "trace:lane");
+                let want = direct(point, &exec, records.iter().copied());
                 assert_eq!(got.completed(), Some(&want), "{warmup}+{measure} `{}`", point.label);
             }
         }

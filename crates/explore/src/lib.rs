@@ -21,6 +21,8 @@
 //!   [`SweepPointOutcome`]s, retries transient failures, enforces
 //!   walk-cycle budgets, streams finished points into a `vm-harden`
 //!   run journal, and resumes from one ([`seeded_from_journal`]).
+//!   [`run_reports`] runs bare points (the paper figures' grids) on the
+//!   same lanes and pool and returns their raw reports.
 //! * [`pareto_frontier`] / [`sensitivity`] — which configurations are
 //!   worth building, and which knobs matter.
 //!
@@ -42,8 +44,8 @@ pub mod sweep;
 pub use analysis::{pareto_frontier, sensitivity, AxisSensitivity};
 pub use attest::{context_for, point_context, verify_in_context, verify_sealed};
 pub use exec::{
-    run_sweep, run_sweep_hardened, tlb_area_bytes, ExecConfig, HardenPolicy, PointResult,
-    SweepOutcome, SweepPointOutcome,
+    run_reports, run_sweep, run_sweep_hardened, tlb_area_bytes, ExecConfig, HardenPolicy,
+    PointResult, SweepOutcome, SweepPointOutcome,
 };
 pub use journal::{
     plan_fingerprint, result_from_value, result_to_value, run_header, seeded_from_journal,

@@ -9,14 +9,14 @@
 use std::collections::BTreeSet;
 
 use jacob_mudge_vm::experiments::telemetry;
-use jacob_mudge_vm::experiments::{Reporter, RunScale};
+use jacob_mudge_vm::experiments::{ExecConfig, Reporter};
 use jacob_mudge_vm::obs::json::{self, Value};
 use jacob_mudge_vm::trace::presets;
 
 fn tiny_telemetry(want_events: bool, want_chrome: bool) -> telemetry::Telemetry {
     let cfg = telemetry::Config::paper_systems(
         presets::gcc_spec(),
-        RunScale { warmup: 3_000, measure: 25_000 },
+        ExecConfig { warmup: 3_000, measure: 25_000, jobs: 1 },
     );
     telemetry::run(&cfg, want_events, want_chrome, &Reporter::silent())
 }
